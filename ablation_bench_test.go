@@ -1,6 +1,6 @@
 package synapse
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the design choices docs/profiling.md calls out: the
 // per-sample barrier, sampling-rate versus replay fidelity, kernel chunk
 // granularity, and profile-derived versus static I/O block sizes.
 

@@ -1,5 +1,5 @@
 // mdsim is a real, runnable synthetic molecular-dynamics application — the
-// repository's stand-in for Gromacs (DESIGN.md §2). It actually burns CPU
+// repository's stand-in for Gromacs (see internal/app). It actually burns CPU
 // (Lennard-Jones force evaluations via internal/kernels), reads an input
 // deck, writes trajectory frames, and holds a steady working set, with the
 // same observable signature the paper relies on: -steps drives CPU and disk

@@ -23,18 +23,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"synapse/internal/dist"
-	"synapse/internal/telemetry"
+	"synapse/internal/httpsvc"
 )
 
 // stdout is the daemon's log stream, replaceable in tests.
@@ -47,69 +43,33 @@ func main() {
 	}
 }
 
-// run starts the daemon and blocks until a signal (or, in tests, until the
-// ready channel's consumer shuts it down). ready, when non-nil, receives
-// the bound address once the server is listening.
+// options are the daemon's flags: the shared set httpsvc binds plus the
+// worker's own.
+type options struct {
+	*httpsvc.Daemon
+	workers, maxSessions, streamBatch int
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{Daemon: httpsvc.NewDaemon(fs, stdout, ":9191")}
+	fs.IntVar(&o.workers, "workers", 0, "parallel emulation workers per shard (0 = all cores)")
+	fs.IntVar(&o.maxSessions, "max-sessions", 4, "compile sessions held before evicting the oldest")
+	fs.IntVar(&o.streamBatch, "stream-batch", 0, "outcomes per NDJSON line on streaming execute responses (0 = 64)")
+	return o
+}
+
+// run starts the daemon and blocks until a signal drains it. ready, when
+// non-nil, receives the bound address once the server is listening.
 func run(args []string, ready chan<- string) error {
-	fs := flag.NewFlagSet("synapse-worker", flag.ExitOnError)
-	addr := fs.String("addr", ":9191", "listen address")
-	workers := fs.Int("workers", 0, "parallel emulation workers per shard (0 = all cores)")
-	maxSessions := fs.Int("max-sessions", 4, "compile sessions held before evicting the oldest")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently-executing requests (0 = unbounded)")
-	queue := fs.Int("queue", 0, "admission queue depth at capacity (0 = shed)")
-	requestTimeout := fs.Duration("request-timeout", 0, "server-side per-request deadline (0 = none)")
-	streamBatch := fs.Int("stream-batch", 0, "outcomes per NDJSON line on streaming execute responses (0 = 64)")
-	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown drain timeout")
-	logFormat := fs.String("log-format", "text", "log output format: text or json")
-	logLevel := fs.String("log-level", "info", "log level floor: debug, info, warn, error (request lines log at debug)")
-	version := fs.Bool("version", false, "print version and build information, then exit")
-	if err := fs.Parse(args); err != nil {
+	o := bindFlags(flag.NewFlagSet("synapse-worker", flag.ExitOnError))
+	if done, err := o.Parse(args); done || err != nil {
 		return err
 	}
-	if *version {
-		telemetry.PrintVersion(stdout, "synapse-worker")
-		return nil
-	}
-	logger, err := telemetry.NewLogger(stdout, *logFormat, *logLevel)
-	if err != nil {
-		return err
-	}
-	if *maxInflight < 0 || *queue < 0 {
-		return fmt.Errorf("-max-inflight and -queue must be >= 0")
-	}
-	if *queue > 0 && *maxInflight == 0 {
-		return fmt.Errorf("-queue requires -max-inflight > 0")
-	}
-
 	srv := dist.NewServer(dist.ServerConfig{
-		Workers:        *workers,
-		MaxSessions:    *maxSessions,
-		MaxInFlight:    *maxInflight,
-		Queue:          *queue,
-		RequestTimeout: *requestTimeout,
-		StreamBatch:    *streamBatch,
-		Pprof:          *pprof,
-		Metrics:        telemetry.NewRegistry(),
-		Logger:         logger,
+		Config:      o.Config,
+		Workers:     o.workers,
+		MaxSessions: o.maxSessions,
+		StreamBatch: o.streamBatch,
 	})
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		return err
-	}
-	logger.Info("serving",
-		slog.String("addr", "http://"+bound.String()),
-		slog.Int("workers", *workers),
-		slog.String("version", telemetry.BuildInfo().String()))
-	if ready != nil {
-		ready <- bound.String()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	logger.Info("draining", slog.String("signal", s.String()), slog.Duration("grace", *grace))
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	return o.Serve(srv, ready, slog.Int("workers", o.workers))
 }

@@ -22,19 +22,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/store"
 	"synapse/internal/storesrv"
-	"synapse/internal/telemetry"
 )
 
 // stdout is the daemon's log stream, replaceable in tests.
@@ -47,85 +43,50 @@ func main() {
 	}
 }
 
-// run starts the daemon and blocks until a signal (or, in tests, until the
-// ready channel's consumer shuts it down via the returned server). ready,
-// when non-nil, receives the bound address once the server is listening.
+// options are the daemon's flags: the shared set httpsvc binds plus the
+// store's own.
+type options struct {
+	*httpsvc.Daemon
+	backend, dir string
+	shards       int
+	readOnly     bool
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{Daemon: httpsvc.NewDaemon(fs, stdout, ":8181")}
+	fs.StringVar(&o.backend, "backend", "sharded", "storage backend: mem, file, sharded")
+	fs.StringVar(&o.dir, "dir", "synapse-store", "profile directory (backend=file)")
+	fs.IntVar(&o.shards, "shards", store.DefaultShards, "lock stripes (backend=sharded)")
+	fs.BoolVar(&o.readOnly, "read-only", false, "degraded mode: shed writes, serve reads")
+	return o
+}
+
+// run starts the daemon and blocks until a signal drains it. ready, when
+// non-nil, receives the bound address once the server is listening.
 func run(args []string, ready chan<- string) error {
-	fs := flag.NewFlagSet("synapsed", flag.ExitOnError)
-	addr := fs.String("addr", ":8181", "listen address")
-	backendName := fs.String("backend", "sharded", "storage backend: mem, file, sharded")
-	dir := fs.String("dir", "synapse-store", "profile directory (backend=file)")
-	shards := fs.Int("shards", store.DefaultShards, "lock stripes (backend=sharded)")
-	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown drain timeout")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently-executing requests (0 = unbounded)")
-	queue := fs.Int("queue", 0, "admission queue depth for reads at capacity (0 = shed)")
-	readOnly := fs.Bool("read-only", false, "degraded mode: shed writes, serve reads")
-	requestTimeout := fs.Duration("request-timeout", 0, "server-side per-request deadline (0 = none)")
-	logFormat := fs.String("log-format", "text", "log output format: text or json")
-	logLevel := fs.String("log-level", "info", "log level floor: debug, info, warn, error (request lines log at debug)")
-	version := fs.Bool("version", false, "print version and build information, then exit")
-	if err := fs.Parse(args); err != nil {
+	o := bindFlags(flag.NewFlagSet("synapsed", flag.ExitOnError))
+	if done, err := o.Parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		telemetry.PrintVersion(stdout, "synapsed")
-		return nil
-	}
-	logger, err := telemetry.NewLogger(stdout, *logFormat, *logLevel)
-	if err != nil {
-		return err
-	}
-	if *maxInflight < 0 || *queue < 0 {
-		return fmt.Errorf("-max-inflight and -queue must be >= 0")
-	}
-	if *queue > 0 && *maxInflight == 0 {
-		return fmt.Errorf("-queue requires -max-inflight > 0")
 	}
 
 	var backend store.Store
-	switch *backendName {
+	switch o.backend {
 	case "mem":
 		backend = store.NewMem()
 	case "sharded":
-		backend = store.NewSharded(*shards)
+		backend = store.NewSharded(o.shards)
 	case "file":
-		f, err := store.NewFile(*dir)
+		f, err := store.NewFile(o.dir)
 		if err != nil {
 			return err
 		}
 		backend = f
 	default:
-		return fmt.Errorf("unknown backend %q (want mem, file, or sharded)", *backendName)
+		return fmt.Errorf("unknown backend %q (want mem, file, or sharded)", o.backend)
 	}
 
-	srv := storesrv.New(backend, storesrv.Config{
-		Pprof:          *pprof,
-		MaxInFlight:    *maxInflight,
-		Queue:          *queue,
-		RequestTimeout: *requestTimeout,
-		ReadOnly:       *readOnly,
-		Metrics:        telemetry.NewRegistry(),
-		Logger:         logger,
-	})
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		return err
-	}
-	logger.Info("serving",
-		slog.String("backend", *backendName),
-		slog.String("addr", "http://"+bound.String()),
-		slog.Bool("read_only", *readOnly),
-		slog.String("version", telemetry.BuildInfo().String()))
-	if ready != nil {
-		ready <- bound.String()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	logger.Info("draining", slog.String("signal", s.String()), slog.Duration("grace", *grace))
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	srv := storesrv.New(backend, storesrv.Config{Config: o.Config, ReadOnly: o.readOnly})
+	return o.Serve(srv, ready,
+		slog.String("backend", o.backend),
+		slog.Bool("read_only", o.readOnly))
 }

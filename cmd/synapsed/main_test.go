@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"sync"
 	"syscall"
@@ -232,5 +233,29 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("synapsed")) || !bytes.Contains(out.Bytes(), []byte("go1.")) {
 		t.Errorf("version output incomplete: %q", out.String())
+	}
+}
+
+// TestFlagSetUnchanged pins the daemon's options: extracting the shared
+// flags into httpsvc must add, drop and re-default nothing.
+func TestFlagSetUnchanged(t *testing.T) {
+	want := map[string]string{
+		"addr": ":8181", "backend": "sharded", "dir": "synapse-store", "shards": "16",
+		"pprof": "false", "grace": "10s", "max-inflight": "0", "queue": "0",
+		"read-only": "false", "request-timeout": "0s", "log-format": "text",
+		"log-level": "info", "version": "false",
+	}
+	fs := flag.NewFlagSet("synapsed", flag.ContinueOnError)
+	bindFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if def, ok := want[f.Name]; !ok {
+			t.Errorf("unexpected flag -%s", f.Name)
+		} else if f.DefValue != def {
+			t.Errorf("flag -%s defaults to %q, want %q", f.Name, f.DefValue, def)
+		}
+		delete(want, f.Name)
+	})
+	for name := range want {
+		t.Errorf("flag -%s is gone", name)
 	}
 }

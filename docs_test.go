@@ -1,6 +1,7 @@
 package synapse
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,10 +12,48 @@ import (
 // mdLink matches markdown inline links and images: [text](target).
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// mdName matches a markdown file name, e.g. docs/service.md.
+var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+
 // TestDocsLinks verifies every relative markdown link in README.md and
-// docs/ resolves to a file in the repository, so the documentation cannot
-// silently rot as files move. CI runs it in the docs job.
+// docs/ resolves to a file in the repository, and every *.md file a Go
+// comment cites exists (relative to the repository root or to the citing
+// file), so the documentation cannot silently rot as files move. CI runs
+// it in the docs job.
 func TestDocsLinks(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == ".bench_build" || path == filepath.Join("bench", "out") || path == ".git") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, name := range mdName.FindAllString(comment, -1) {
+				_, atRoot := os.Stat(name)
+				_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
+				if atRoot != nil && beside != nil {
+					t.Errorf("%s cites %s, which is not in the tree", path, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	files := []string{"README.md"}
 	entries, err := os.ReadDir("docs")
 	if err != nil {

@@ -2,7 +2,7 @@
 //
 // The paper's evaluation profiles Gromacs; this reproduction substitutes
 // MDSim, a parameterised synthetic molecular-dynamics application with the
-// same observable resource signature (DESIGN.md §2): the iteration count
+// same observable resource signature (see README.md): the iteration count
 // drives CPU consumption and disk output linearly while disk input and
 // memory stay constant. Workloads are expressed in machine-independent work
 // units; internal/machine maps units to cycles per machine and internal/proc

@@ -18,7 +18,7 @@ import (
 
 // RealTarget adapts a spawned host process to the watcher.Target interface,
 // reading counters from /proc and exit totals from the child's rusage — the
-// real-mode substitution for perf-stat documented in DESIGN.md §2.
+// real-mode substitution for perf-stat documented in internal/perfcount.
 type RealTarget struct {
 	command string
 	tags    map[string]string

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/retry"
 	"synapse/internal/scenario"
 )
@@ -70,23 +70,11 @@ func (w *HTTPWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scena
 func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
 	sreq := *req
 	sreq.Stream = true
-	body, err := json.Marshal(&sreq)
+	resp, err := w.send(ctx, "/v1/execute", &sreq)
 	if err != nil {
-		return fmt.Errorf("dist: encode /v1/execute: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/execute", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("dist: /v1/execute: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := w.hc.Do(hreq)
-	if err != nil {
-		return fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return w.decodeError("/v1/execute", resp)
-	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
 		// Pre-streaming server: one ExecuteResponse body, emitted whole.
 		var er ExecuteResponse
@@ -122,26 +110,36 @@ func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emi
 	}
 }
 
-// post sends one JSON request and decodes the JSON response, translating
-// structured error bodies into sentinel errors.
-func (w *HTTPWorker) post(ctx context.Context, path string, in, out any) error {
+// send posts one JSON request and returns the 200 response for the caller
+// to decode and close; any other status comes back as a sentinel error.
+func (w *HTTPWorker) send(ctx context.Context, path string, in any) (*http.Response, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("dist: encode %s: %w", path, err)
+		return nil, fmt.Errorf("dist: encode %s: %w", path, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("dist: %s: %w", path, err)
+		return nil, fmt.Errorf("dist: %s: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("dist: %s %s: %w", w.base, path, err)
+		return nil, fmt.Errorf("dist: %s %s: %w", w.base, path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, w.decodeError(path, resp)
+	}
+	return resp, nil
+}
+
+// post sends one JSON request and decodes the JSON response.
+func (w *HTTPWorker) post(ctx context.Context, path string, in, out any) error {
+	resp, err := w.send(ctx, path, in)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return w.decodeError(path, resp)
-	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("dist: %s %s: decode response: %w", w.base, path, err)
 	}
@@ -152,18 +150,10 @@ func (w *HTTPWorker) post(ctx context.Context, path string, in, out any) error {
 // attaching any Retry-After hint for the coordinator's backoff.
 func (w *HTTPWorker) decodeError(path string, resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var er ErrorResponse
-	_ = json.Unmarshal(data, &er)
-	msg := er.Error
-	if msg == "" {
-		msg = strings.TrimSpace(string(data))
-	}
-	base := fmt.Errorf("dist: %s %s: HTTP %d: %s", w.base, path, resp.StatusCode, msg)
-	err := w.sentinel(er.Code, base)
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-			err = retry.After(err, time.Duration(secs)*time.Second)
-		}
+	er, _ := httpsvc.DecodeError(data)
+	err := w.sentinel(er.Code, fmt.Errorf("dist: %s %s: HTTP %d: %s", w.base, path, resp.StatusCode, er.Error))
+	if wait := httpsvc.RetryAfter(resp.Header); wait > 0 {
+		err = retry.After(err, wait)
 	}
 	return err
 }
@@ -171,13 +161,10 @@ func (w *HTTPWorker) decodeError(path string, resp *http.Response) error {
 // sentinel rebuilds the package sentinel for a structured error code, from
 // a status body or an in-band stream error line alike.
 func (w *HTTPWorker) sentinel(code string, base error) error {
-	switch code {
-	case CodeNoSession:
-		return fmt.Errorf("%w: %v", ErrNoSession, base)
-	case CodeShardKey:
-		return fmt.Errorf("%w: %v", ErrShardKey, base)
-	case CodeInvalid:
-		return fmt.Errorf("%w: %v", ErrInvalid, base)
+	for _, we := range wireErrors {
+		if we.code == code {
+			return fmt.Errorf("%w: %v", we.err, base)
+		}
 	}
 	return base
 }

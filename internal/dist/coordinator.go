@@ -16,6 +16,7 @@ import (
 
 	"synapse/internal/retry"
 	"synapse/internal/scenario"
+	"synapse/internal/stats"
 	"synapse/internal/store"
 	"synapse/internal/telemetry"
 )
@@ -28,11 +29,9 @@ const (
 	defaultWindow    = 4096
 
 	// The straggler threshold adapts to observed chunk latency, like
-	// storeclnt's request hedge: a ring of recent successful attempt
-	// durations, speculation at stealFactor × p95 (never below stealFloor),
-	// and a fixed default until the ring has latWarmup samples.
-	latWindow         = 64
-	latWarmup         = 16
+	// storeclnt's request hedge: a stats.LatencyRing of recent successful
+	// attempt durations, speculation at stealFactor × p95 (never below
+	// stealFloor), and a fixed default until the ring is warm.
 	stealFactor       = 2
 	stealFloor        = 5 * time.Millisecond
 	defaultStealAfter = 250 * time.Millisecond
@@ -167,10 +166,7 @@ type Coordinator struct {
 	scratch dispatchScratch
 
 	// lat is the chunk-latency ring behind the adaptive steal threshold.
-	latMu  sync.Mutex
-	lat    [latWindow]time.Duration
-	latIdx int
-	latN   int
+	lat stats.LatencyRing
 
 	// counters (exposed via Stats and, optionally, Config.Metrics)
 	jobs         atomic.Int64
@@ -357,18 +353,6 @@ func (co *Coordinator) markDead(ws *workerState, err error) {
 	}
 }
 
-// recordLatency folds one successful attempt duration into the ring the
-// adaptive steal threshold reads.
-func (co *Coordinator) recordLatency(d time.Duration) {
-	co.latMu.Lock()
-	co.lat[co.latIdx] = d
-	co.latIdx = (co.latIdx + 1) % latWindow
-	if co.latN < latWindow {
-		co.latN++
-	}
-	co.latMu.Unlock()
-}
-
 // stealThreshold returns the current straggler threshold: the configured
 // value when fixed, else stealFactor × the observed p95 chunk latency
 // (stealFloor-bounded), or the warmup default while samples are scarce.
@@ -376,24 +360,11 @@ func (co *Coordinator) stealThreshold() time.Duration {
 	if co.stealAfter > 0 {
 		return co.stealAfter
 	}
-	co.latMu.Lock()
-	defer co.latMu.Unlock()
-	if co.latN < latWarmup {
+	p95, warm := co.lat.P95()
+	if !warm {
 		return defaultStealAfter
 	}
-	var buf [latWindow]time.Duration
-	n := copy(buf[:], co.lat[:co.latN])
-	// Insertion sort: n ≤ 64 and this must not allocate.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	th := stealFactor * buf[(95*(n-1))/100]
-	if th < stealFloor {
-		th = stealFloor
-	}
-	return th
+	return max(stealFactor*p95, stealFloor)
 }
 
 // outcomesDigest canonically hashes a chunk's outcomes: FNV-1a over the
@@ -692,7 +663,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			}
 			return
 		}
-		co.recordLatency(r.dur)
+		co.lat.Observe(r.dur)
 		if !r.ws.dead.Load() {
 			sc.idle = append(sc.idle, r.ws)
 		}

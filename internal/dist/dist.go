@@ -25,11 +25,11 @@
 // outcomes are pure functions of the job, recomputation is exact, not
 // approximate.
 //
-// The wire protocol (WorkerServer, HTTPWorker) is JSON over HTTP in the
-// storesrv mold: structured error codes, /v1/healthz liveness, /v1/metrics
-// Prometheus exposition behind RED middleware, bounded admission with
-// shedding, and graceful drain. LocalWorker is the same worker with the
-// transport removed, for tests and single-host fan-out.
+// The wire protocol (WorkerServer, HTTPWorker) is JSON over HTTP on the
+// shared internal/httpsvc stack: structured error codes, /v1/healthz
+// liveness, /v1/metrics Prometheus exposition behind RED middleware, bounded
+// admission with shedding, and graceful drain. LocalWorker is the same
+// worker with the transport removed, for tests and single-host fan-out.
 package dist
 
 import (

@@ -1,375 +1,123 @@
 package dist
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
-	"strings"
-	"sync/atomic"
-	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/scenario"
 	"synapse/internal/telemetry"
 )
 
-// Error codes carried in structured error responses. The code, not the
-// message, is the contract: HTTPWorker rebuilds the sentinel errors from
-// them.
+// Error codes carried in structured error responses, beside the admission
+// codes httpsvc owns (overloaded, draining). The code, not the message, is
+// the contract: HTTPWorker rebuilds the sentinel errors from them.
 const (
-	CodeInvalid    = "invalid"
-	CodeNoSession  = "no_session"
-	CodeShardKey   = "shard_key"
-	CodeInternal   = "internal"
-	CodeOverloaded = "overloaded"
-	CodeDraining   = "draining"
+	CodeInvalid   = "invalid"
+	CodeNoSession = "no_session"
+	CodeShardKey  = "shard_key"
+	CodeInternal  = "internal"
 )
 
-// ErrorResponse is the wire form of a failed request.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// HealthResponse is the /v1/healthz body.
+// HealthResponse is the /v1/healthz body: the stack's base block plus the
+// worker's held sessions.
 type HealthResponse struct {
-	Status      string          `json:"status"` // "ok" or "draining"
-	Sessions    int             `json:"sessions"`
-	InFlight    int64           `json:"inflight"`
-	MaxInFlight int             `json:"max_inflight,omitempty"`
-	Queue       int             `json:"queue,omitempty"`
-	Shed        int64           `json:"shed"`
-	Build       telemetry.Build `json:"build"`
+	Status   string `json:"status"` // "ok" or "draining"
+	Sessions int    `json:"sessions"`
+	httpsvc.Health
 }
 
-// ServerConfig tunes a worker server.
+// ServerConfig tunes a worker server: the generic stack's settings
+// (admission, deadline, pprof, metrics, logger) plus the worker's own.
 type ServerConfig struct {
+	httpsvc.Config
 	// Workers bounds the emulation fan-out per execute request
 	// (0 = GOMAXPROCS).
 	Workers int
 	// MaxSessions bounds held compile sessions; the oldest is evicted
 	// past the cap (0 = 4). Coordinators recover via no_session.
 	MaxSessions int
-	// MaxInFlight bounds concurrently-executing requests (0 = unbounded);
-	// excess requests briefly wait in a Queue-deep admission queue, then
-	// shed with 429 and a Retry-After hint.
-	MaxInFlight int
-	// Queue is the admission-queue depth (0 = shed immediately).
-	Queue int
-	// RequestTimeout is the server-side deadline per admitted request and
-	// the bound on admission-queue waits (0 = none).
-	RequestTimeout time.Duration
 	// StreamBatch is the outcome-batch granularity of streaming execute
 	// responses — one NDJSON line per about this many outcomes (0 = 64).
 	StreamBatch int
-	// Pprof mounts net/http/pprof under /debug/pprof/.
-	Pprof bool
-	// Metrics is the registry rendered at GET /v1/metrics; nil gets a
-	// private one.
-	Metrics *telemetry.Registry
-	// Logger receives one structured line per request plus lifecycle
-	// events. nil discards.
-	Logger *slog.Logger
 }
 
-// WorkerServer serves the worker protocol over HTTP:
+// WorkerServer serves the worker protocol over HTTP on the shared httpsvc
+// stack (admission control, RED middleware, /v1/healthz, /v1/metrics,
+// structured errors, graceful drain — see docs/service.md):
 //
 //	POST /v1/compile   compile a session (CompileRequest -> CompileResponse)
 //	POST /v1/execute   execute one shard (ExecuteRequest -> ExecuteResponse)
-//	GET  /v1/healthz   liveness + admission counters + build identity
-//	GET  /v1/metrics   Prometheus text exposition (RED + worker series)
 //
-// It follows the storesrv service conventions: every data-path request
-// passes admission control and the RED middleware (healthz/metrics/pprof
-// bypass admission but are still observed), errors carry structured codes,
-// and Shutdown drains gracefully — new requests shed with 503/draining
-// while in-flight shards finish.
+// It installs no admission policy: every request queues and sheds alike.
 type WorkerServer struct {
+	*httpsvc.Server
 	local *LocalWorker
-	mux   *http.ServeMux
 
-	sem     chan struct{}
-	queue   chan struct{}
-	timeout time.Duration
-
-	draining atomic.Bool
-	inflight atomic.Int64
-	shed     atomic.Int64
-
-	reg       *telemetry.Registry
-	requests  *telemetry.CounterVec
-	latency   *telemetry.HistogramVec
-	shedVec   *telemetry.CounterVec
 	jobsRun   *telemetry.Counter
 	chunksRun *telemetry.Counter
 	specRun   *telemetry.Counter
 
 	streamBatch int
-
-	log     *slog.Logger
-	build   telemetry.Build
-	httpSrv *http.Server
 }
 
 // NewServer builds a worker server around an in-process worker core.
 func NewServer(cfg ServerConfig) *WorkerServer {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = telemetry.NopLogger()
-	}
 	s := &WorkerServer{
 		local:       &LocalWorker{name: "server", workers: cfg.Workers, sessions: newSessions(cfg.MaxSessions)},
-		mux:         http.NewServeMux(),
-		timeout:     cfg.RequestTimeout,
 		streamBatch: cfg.StreamBatch,
-		reg:         reg,
-		log:         log,
-		build:       telemetry.BuildInfo(),
 	}
-	if cfg.MaxInFlight > 0 {
-		s.sem = make(chan struct{}, cfg.MaxInFlight)
-		if cfg.Queue > 0 {
-			s.queue = make(chan struct{}, cfg.Queue)
-		}
-	}
-	s.requests = reg.CounterVec("synapse_http_requests_total",
-		"HTTP requests served, by route, method and status code.",
-		"route", "method", "code")
-	s.latency = reg.HistogramVec("synapse_http_request_duration_seconds",
-		"HTTP request latency in seconds, by route and method.",
-		nil, "route", "method")
-	s.shedVec = reg.CounterVec("synapse_admission_shed_total",
-		"Requests refused by admission control, by shed code.",
-		"code")
+	s.Server = httpsvc.New(cfg.Config, httpsvc.Service{
+		Subject: "dist: worker",
+		Health: func(status string, base httpsvc.Health) any {
+			return HealthResponse{Status: status, Sessions: s.local.sessions.len(), Health: base}
+		},
+	})
+	reg := s.Metrics()
 	s.jobsRun = reg.Counter("synapse_dist_worker_jobs_total",
 		"Replay jobs this worker executed.")
 	s.chunksRun = reg.Counter("synapse_dist_worker_chunks_total",
 		"Job chunks (execute requests) this worker ran.")
 	s.specRun = reg.Counter("synapse_dist_worker_speculative_total",
 		"Chunks this worker ran as speculative straggler re-executions.")
-	reg.GaugeFunc("synapse_http_inflight_requests",
-		"Requests currently executing (admission-controlled data path).",
-		func() float64 { return float64(s.inflight.Load()) })
-	reg.GaugeFunc("synapse_admission_queue_depth",
-		"Requests currently parked in the admission queue.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("synapse_admission_draining",
-		"1 while the server is draining for shutdown.",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		})
 	reg.GaugeFunc("synapse_dist_worker_sessions",
 		"Compile sessions currently held.",
 		func() float64 { return float64(s.local.sessions.len()) })
-	b := s.build
-	reg.GaugeVec("synapse_build_info",
-		"Build metadata; the value is always 1.",
-		"version", "go_version", "revision").
-		With(b.Version, b.GoVersion, b.Revision).Set(1)
-
-	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
-	s.mux.HandleFunc("POST /v1/execute", s.handleExecute)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /v1/metrics", reg.Handler())
-	if cfg.Pprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	s.Handle("POST /v1/compile", s.handleCompile)
+	s.Handle("POST /v1/execute", s.handleExecute)
 	return s
 }
 
-// Metrics returns the registry the server's instruments live in — the same
-// one /v1/metrics renders.
-func (s *WorkerServer) Metrics() *telemetry.Registry { return s.reg }
-
-// statusRecorder captures the response status for the RED middleware.
-type statusRecorder struct {
-	http.ResponseWriter
+// wireErrors pairs each sentinel error with its structured code and status:
+// one table read by both directions of the wire — the server's error
+// statuses and in-band stream lines, and HTTPWorker rebuilding sentinels.
+var wireErrors = []struct {
+	err    error
+	code   string
 	status int
+}{
+	{ErrNoSession, CodeNoSession, http.StatusNotFound},
+	{ErrShardKey, CodeShardKey, http.StatusConflict},
+	{ErrInvalid, CodeInvalid, http.StatusBadRequest},
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
+// codeOf maps a worker error onto its structured code and status.
+func codeOf(err error) (code string, status int) {
+	for _, we := range wireErrors {
+		if errors.Is(err, we.err) {
+			return we.code, we.status
+		}
 	}
-	return sr.ResponseWriter.Write(b)
-}
-
-// routeOf collapses request paths onto a bounded route label set.
-func routeOf(path string) string {
-	switch path {
-	case "/v1/compile", "/v1/execute", "/v1/healthz", "/v1/metrics":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/pprof") {
-		return "/debug/pprof"
-	}
-	return "other"
-}
-
-// ServeHTTP implements http.Handler: admission, deadline, RED observation
-// and one structured log line around every request.
-func (s *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rec := &statusRecorder{ResponseWriter: w}
-	s.serve(rec, r)
-	elapsed := time.Since(start)
-	route := routeOf(r.URL.Path)
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	s.requests.With(route, r.Method, strconv.Itoa(status)).Inc()
-	s.latency.With(route, r.Method).Observe(elapsed.Seconds())
-	level := slog.LevelDebug
-	if status >= 500 || status == http.StatusTooManyRequests {
-		level = slog.LevelWarn
-	}
-	s.log.Log(r.Context(), level, "request",
-		slog.String("route", route),
-		slog.String("method", r.Method),
-		slog.Int("code", status),
-		slog.Duration("duration", elapsed))
-}
-
-// bypass: health, metrics and profiling must answer even when the data
-// path is saturated.
-func bypass(r *http.Request) bool {
-	return r.URL.Path == "/v1/healthz" ||
-		r.URL.Path == "/v1/metrics" ||
-		strings.HasPrefix(r.URL.Path, "/debug/pprof")
-}
-
-func (s *WorkerServer) serve(w http.ResponseWriter, r *http.Request) {
-	if bypass(r) {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	release := s.admit(w, r)
-	if release == nil {
-		return // shed; response already written
-	}
-	defer release()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-// admit reserves an execution slot, queueing briefly at capacity. nil means
-// the request was shed and the response written.
-func (s *WorkerServer) admit(w http.ResponseWriter, r *http.Request) (release func()) {
-	if s.draining.Load() {
-		s.shedResponse(w, http.StatusServiceUnavailable, CodeDraining, "worker is draining")
-		return nil
-	}
-	if s.sem == nil {
-		return func() {}
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }
-	default:
-	}
-	if !s.await(r) {
-		s.shedResponse(w, http.StatusTooManyRequests, CodeOverloaded, "worker is at capacity")
-		return nil
-	}
-	return func() { <-s.sem }
-}
-
-// await parks a request in the admission queue until a slot frees up, the
-// caller gives up, or the wait budget burns down.
-func (s *WorkerServer) await(r *http.Request) bool {
-	if s.queue == nil {
-		return false
-	}
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		return false
-	}
-	defer func() { <-s.queue }()
-	wait := s.timeout
-	if wait <= 0 {
-		wait = time.Second
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-r.Context().Done():
-		return false
-	case <-t.C:
-		return false
-	}
-}
-
-func (s *WorkerServer) shedResponse(w http.ResponseWriter, status int, code, msg string) {
-	s.shed.Add(1)
-	s.shedVec.With(code).Inc()
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, status, ErrorResponse{Error: "dist: " + msg, Code: code})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// codeOf maps a worker error onto its structured code — the same mapping
-// whether the code travels in an error status or an in-band stream line.
-func codeOf(err error) string {
-	switch {
-	case errors.Is(err, ErrNoSession):
-		return CodeNoSession
-	case errors.Is(err, ErrShardKey):
-		return CodeShardKey
-	case errors.Is(err, ErrInvalid):
-		return CodeInvalid
-	}
-	return CodeInternal
+	return CodeInternal, http.StatusInternalServerError
 }
 
 // writeError maps worker errors onto structured responses.
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	code := codeOf(err)
-	switch code {
-	case CodeNoSession:
-		status = http.StatusNotFound
-	case CodeShardKey:
-		status = http.StatusConflict
-	case CodeInvalid:
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	code, status := codeOf(err)
+	httpsvc.WriteJSON(w, status, httpsvc.ErrorResponse{Error: err.Error(), Code: code})
 }
 
 func (s *WorkerServer) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -383,11 +131,11 @@ func (s *WorkerServer) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.log.Info("session compiled",
+	s.Logger().Info("session compiled",
 		slog.String("session", req.Session),
 		slog.Int("workloads", len(req.Spec.Workloads)),
 		slog.Int("shards", req.Shards))
-	writeJSON(w, http.StatusOK, CompileResponse{Session: req.Session, Seed: sess.runner.Seed()})
+	httpsvc.WriteJSON(w, http.StatusOK, CompileResponse{Session: req.Session, Seed: sess.runner.Seed()})
 }
 
 func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -415,7 +163,7 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.jobsRun.Add(int64(len(req.Jobs)))
-		writeJSON(w, http.StatusOK, ExecuteResponse{Outcomes: outs})
+		httpsvc.WriteJSON(w, http.StatusOK, ExecuteResponse{Outcomes: outs})
 		return
 	}
 	// Streaming: one NDJSON StreamChunk line per outcome batch, flushed as
@@ -423,7 +171,8 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// terminal done (or in-band error) line.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// The RED middleware wraps w; the controller unwraps to the real flusher.
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	streamed := 0
 	err = sess.runner.ExecuteJobsStream(r.Context(), req.Jobs, s.streamBatch, func(outs []*scenario.Outcome) error {
@@ -431,53 +180,16 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		streamed += len(outs)
-		if flusher != nil {
-			flusher.Flush()
+		if streamed == len(req.Jobs) {
+			return nil // the done line follows at once; one write carries both
 		}
-		return nil
+		return rc.Flush()
 	})
 	if err != nil {
-		_ = enc.Encode(StreamChunk{Error: err.Error(), Code: codeOf(err)})
+		code, _ := codeOf(err)
+		_ = enc.Encode(StreamChunk{Error: err.Error(), Code: code})
 		return
 	}
 	s.jobsRun.Add(int64(len(req.Jobs)))
 	_ = enc.Encode(StreamChunk{Done: true, N: streamed})
-}
-
-func (s *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:      status,
-		Sessions:    s.local.sessions.len(),
-		InFlight:    s.inflight.Load(),
-		MaxInFlight: cap(s.sem),
-		Queue:       cap(s.queue),
-		Shed:        s.shed.Load(),
-		Build:       s.build,
-	})
-}
-
-// Start listens on addr and serves in the background, returning the bound
-// address. Stop with Shutdown.
-func (s *WorkerServer) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: listen %s: %w", addr, err)
-	}
-	s.httpSrv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = s.httpSrv.Serve(ln) }()
-	return ln.Addr(), nil
-}
-
-// Shutdown gracefully stops a Start'ed server: new requests shed with
-// 503/draining while in-flight shards finish (bounded by ctx).
-func (s *WorkerServer) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.httpSrv != nil {
-		return s.httpSrv.Shutdown(ctx)
-	}
-	return nil
 }

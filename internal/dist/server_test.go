@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/scenario"
 	"synapse/internal/store"
 	"synapse/internal/testutil"
@@ -141,7 +142,7 @@ func TestHTTPNoSessionRecovery(t *testing.T) {
 	}
 }
 
-func postJSON(t *testing.T, url string, body string) (*http.Response, ErrorResponse) {
+func postJSON(t *testing.T, url string, body string) (*http.Response, httpsvc.ErrorResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -149,7 +150,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, ErrorRespo
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(data, &er)
 	return resp, er
 }
@@ -184,7 +185,7 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
-	_, base := startServer(t, ServerConfig{Workers: 1, MaxInFlight: 8})
+	_, base := startServer(t, ServerConfig{Config: httpsvc.Config{MaxInFlight: 8}, Workers: 1})
 	fleet := []Worker{NewHTTPWorker(base, nil)}
 	if _, err := scenario.Run(context.Background(), spec, st, scenario.RunOptions{
 		Executor: mustCoordinator(t, spec, st, Config{Workers: fleet}),
@@ -239,7 +240,9 @@ func mustCoordinator(t *testing.T, spec *scenario.Spec, st store.Store, cfg Conf
 func TestHTTPDrainSheds(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	s := NewServer(ServerConfig{})
-	s.draining.Store(true)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	rec := httptest.NewRecorder()
 	req, _ := http.NewRequest(http.MethodPost, "/v1/execute", strings.NewReader("{}"))
@@ -250,10 +253,10 @@ func TestHTTPDrainSheds(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra == "" {
 		t.Error("draining shed carries no Retry-After")
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &er)
-	if er.Code != CodeDraining {
-		t.Errorf("shed code = %q, want %q", er.Code, CodeDraining)
+	if er.Code != httpsvc.CodeDraining {
+		t.Errorf("shed code = %q, want %q", er.Code, httpsvc.CodeDraining)
 	}
 
 	rec = httptest.NewRecorder()
@@ -273,9 +276,25 @@ func TestHTTPDrainSheds(t *testing.T) {
 // a data-path request sheds with 429/overloaded.
 func TestHTTPOverloadSheds(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s := NewServer(ServerConfig{MaxInFlight: 1})
-	s.sem <- struct{}{} // occupy the sole slot
-	defer func() { <-s.sem }()
+	s := NewServer(ServerConfig{Config: httpsvc.Config{MaxInFlight: 1}})
+	// Occupy the sole slot: an admitted execute parked reading a body that
+	// never ends.
+	body, hold := io.Pipe()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		req, _ := http.NewRequest(http.MethodPost, "/v1/execute", body)
+		s.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	defer func() { hold.Close(); <-held }()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if inflight, _ := s.Counters(); inflight == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the holding request never took the slot")
+		}
+	}
 
 	rec := httptest.NewRecorder()
 	req, _ := http.NewRequest(http.MethodPost, "/v1/execute", strings.NewReader("{}"))
@@ -283,10 +302,10 @@ func TestHTTPOverloadSheds(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded execute: status %d, want 429", rec.Code)
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &er)
-	if er.Code != CodeOverloaded {
-		t.Errorf("shed code = %q, want %q", er.Code, CodeOverloaded)
+	if er.Code != httpsvc.CodeOverloaded {
+		t.Errorf("shed code = %q, want %q", er.Code, httpsvc.CodeOverloaded)
 	}
 	// Bypass routes must still answer at capacity.
 	rec = httptest.NewRecorder()

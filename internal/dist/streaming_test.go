@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"synapse/internal/scenario"
 	"synapse/internal/testutil"
@@ -141,5 +143,100 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 	err = NewHTTPWorker(inband.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
 	if !errors.Is(err, ErrNoSession) {
 		t.Errorf("in-band stream error: err = %v, want ErrNoSession", err)
+	}
+}
+
+// secondWriteGate parks the handler on its second body write until released:
+// by then the first outcome line has been written and (if the server flushes
+// per batch) pushed to the client, while the handler provably has not
+// returned. Unwrap keeps the real writer's Flusher reachable.
+type secondWriteGate struct {
+	http.ResponseWriter
+	writes  int
+	release <-chan struct{}
+}
+
+func (g *secondWriteGate) Write(b []byte) (int, error) {
+	if g.writes++; g.writes == 2 {
+		<-g.release
+	}
+	return g.ResponseWriter.Write(b)
+}
+
+func (g *secondWriteGate) Unwrap() http.ResponseWriter { return g.ResponseWriter }
+
+// TestHTTPStreamingFlushesPerBatch: the point of NDJSON streaming is that the
+// coordinator folds batches while the worker is still computing, so each
+// outcome line must reach the client when it is emitted — not when the
+// handler returns and net/http flushes its buffer. The handler sits behind
+// the RED middleware's status recorder, which must not hide the Flusher.
+func TestHTTPStreamingFlushesPerBatch(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st := seedStore(t, "mdsim", "sleep")
+	spec := jitteredSpec()
+	profs, err := scenario.ResolveProfiles(context.Background(), spec, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{Workers: 1, StreamBatch: 1})
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/execute" {
+			w = &secondWriteGate{ResponseWriter: w, release: release}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release) // never strand the handler on a failed assertion
+		}
+	}()
+
+	ctx := context.Background()
+	if err := NewHTTPWorker(ts.URL, nil).Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	keys := ShardKeys(spec.Seed, 2)
+	body, _ := json.Marshal(&ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 3), Stream: true})
+	// The client runs beside the test: without per-batch flushing not even
+	// the response headers arrive before the handler returns.
+	lines := make(chan StreamChunk, 8) // 3 outcome lines + done, never blocks the reader
+	go func() {
+		defer close(lines)
+		resp, err := http.Post(ts.URL+"/v1/execute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("execute: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line StreamChunk
+			if dec.Decode(&line) != nil {
+				return
+			}
+			lines <- line
+		}
+	}()
+	select {
+	case first := <-lines:
+		if len(first.Outcomes) != 1 {
+			t.Fatalf("first line = %+v, want one outcome", first)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("first outcome line not readable while the handler is still running: the stream is not flushed per batch")
+	}
+	close(release)
+	var last StreamChunk
+	n := 1
+	for line := range lines {
+		n += len(line.Outcomes)
+		last = line
+	}
+	if !last.Done || last.N != 3 || n != 3 {
+		t.Errorf("stream ended with %+v after %d outcomes, want done with 3", last, n)
 	}
 }

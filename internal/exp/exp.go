@@ -1,7 +1,8 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (§5). Each experiment is a function returning a Table whose rows carry the
-// same series the paper plots; DESIGN.md §5 maps experiment IDs to paper
-// artifacts and EXPERIMENTS.md records paper-vs-reproduced values.
+// same series the paper plots; each experiment's ID names its paper artifact
+// (README.md shows how to regenerate them) and exp_test.go pins the
+// paper-vs-reproduced values that matter.
 //
 // All experiments run against the simulated machine catalog and are fully
 // deterministic for a given configuration (seeded noise provides the error

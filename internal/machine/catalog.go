@@ -51,8 +51,8 @@ func mdsimParallel(threadOv, procOv, startup time.Duration, contention float64) 
 
 // newCatalog constructs the calibrated models for the paper's testbeds. All
 // numbers are calibrated against the published figures, not measured from the
-// original hardware; DESIGN.md §2 records the substitution rationale and
-// EXPERIMENTS.md records paper-vs-reproduced values.
+// original hardware; the package doc records the substitution rationale and
+// internal/exp's tests pin the paper-vs-reproduced values that matter.
 func newCatalog() map[string]*Model {
 	ms := []*Model{
 		{

@@ -2,8 +2,8 @@
 //
 // The paper evaluates Synapse on six physical testbeds (Thinkie, Stampede,
 // Archer, Supermic, Comet, Titan). None of that hardware is available to a
-// reproduction, so this package provides the substitution documented in
-// DESIGN.md §2: an analytic resource model per machine — clock rate, cores,
+// reproduction, so this package provides the substitution (README.md has
+// the overview): an analytic resource model per machine — clock rate, cores,
 // cache hierarchy, per-application and per-kernel performance, and
 // per-filesystem I/O cost tables — calibrated so that the relative behaviours
 // reported in the paper's evaluation hold. The same interfaces also describe

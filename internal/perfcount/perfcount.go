@@ -2,7 +2,7 @@
 //
 // The paper's profiler reads CPU activity from perf-stat, memory and disk
 // counters from /proc, and process totals from rusage. This reproduction has
-// no guaranteed access to perf counters (see DESIGN.md §2), so counters are
+// no guaranteed access to perf counters (see README.md), so counters are
 // produced either by the machine simulator (internal/proc) or estimated from
 // /proc CPU time on the real host (internal/procfs). Either way they flow
 // through the Counters type defined here, and the derived metrics

@@ -5,7 +5,7 @@
 // This is the real-mode counterpart of internal/proc: the paper's profiler
 // reads exactly these files (plus perf-stat, which this reproduction
 // substitutes by deriving cycle counts from CPU time and the machine's
-// nominal clock — see DESIGN.md §2). All readers degrade gracefully:
+// nominal clock — see internal/perfcount). All readers degrade gracefully:
 // missing files or foreign platforms yield an error the watchers treat as
 // "metric unavailable", matching the paper's observation that profiling
 // requires system-level support (§8).
@@ -200,7 +200,7 @@ func Alive(pid int) bool {
 // Snapshot assembles a perfcount.Counters view of a live process. Cycle and
 // instruction counts are *estimates* derived from CPU time and the supplied
 // nominal clock rate and IPC — the substitution for perf-stat access
-// documented in DESIGN.md §2. Unavailable sub-readers contribute zeros; the
+// documented in perfcount. Unavailable sub-readers contribute zeros; the
 // error reflects the first reader that failed entirely.
 func Snapshot(pid int, clockHz, assumedIPC float64) (perfcount.Counters, error) {
 	var c perfcount.Counters

@@ -439,7 +439,14 @@ func (e *Events) validate(cl *cluster.Spec) error {
 		if base == "" {
 			base = a.Add.Machine
 		}
+		// Report the first collision in name order: the same spec must
+		// always fail with the same message.
+		sorted := make([]string, 0, len(names))
 		for name := range names {
+			sorted = append(sorted, name)
+		}
+		sort.Strings(sorted)
+		for _, name := range sorted {
 			if rest, ok := strings.CutPrefix(name, base+"-"); ok && isDigits(rest) {
 				return fmt.Errorf("autoscale: add name %q collides with node %q (autoscale owns %s-0, %s-1, ...)",
 					base, name, base, base)

@@ -27,18 +27,19 @@ func TestPostPopAllocFree(t *testing.T) {
 	}
 }
 
-// TestPostHandlerOrdering checks that handlers and closures share one
-// (t, prio, post-order) timeline: interleaved Post and PostHandler calls
-// replay in exactly the order the ordering rule dictates.
+// TestPostHandlerOrdering checks that distinct handlers share one
+// (t, prio, post-order) timeline: interleaved posts of a bound handler and
+// of one-off handlers replay in exactly the order the ordering rule
+// dictates, each receiving its own inline arguments.
 func TestPostHandlerOrdering(t *testing.T) {
 	k := New()
 	var got []int
 	add := func(v int) { got = append(got, v) }
 	h := Handler(func(a, _ int64) { add(int(a)) })
-	k.Post(2*time.Second, 0, func() { add(4) })
+	k.PostHandler(2*time.Second, 0, func(a, b int64) { add(int(a + b)) }, 3, 1)
 	k.PostHandler(time.Second, 1, h, 2, 0)
-	k.Post(time.Second, 1, func() { add(3) }) // same (t, prio): post order
-	k.PostHandler(time.Second, 0, h, 1, 0)    // lower prio wins the instant
+	k.PostHandler(time.Second, 1, func(_, b int64) { add(int(b)) }, 0, 3) // same (t, prio): post order
+	k.PostHandler(time.Second, 0, h, 1, 0)                                // lower prio wins the instant
 	k.Run(nil)
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {

@@ -3,8 +3,8 @@
 // substream derivation for seeded randomness, and pluggable metrics sinks.
 //
 // The kernel owns none of the models being simulated — it only decides
-// *when* things happen. Callers post closures at virtual times with a
-// priority; Run drains the queue one virtual instant at a time, executing
+// *when* things happen. Callers post pre-bound handlers at virtual times with
+// a priority; Run drains the queue one virtual instant at a time, executing
 // every event scheduled for that instant in (priority, post-order) order
 // before invoking the per-instant hook. That batching is what lets a
 // scheduler built on top resolve an instant's decisions (e.g. placements)
@@ -41,19 +41,17 @@ type MetricsSink interface {
 
 // Handler is a pre-bound, allocation-free event callback: the two integer
 // arguments travel inline in the heap entry, so posting one costs no heap
-// allocation — unlike a closure, which boxes its captures on every Post.
+// allocation, where a closure per event would box its captures every time.
 // Callers bind a Handler once (typically a method value stored in a struct
 // field) and pass per-event state through a and b.
 type Handler func(a, b int64)
 
-// entry is one scheduled event. Exactly one of fn and h is set: fn is the
-// closure form (Post), h the pre-bound handler form (PostHandler) with its
-// two argument words stored inline.
+// entry is one scheduled event: a pre-bound handler with its two argument
+// words stored inline.
 type entry struct {
 	t    time.Duration
 	prio Priority
 	seq  uint64 // post order; the stable tie-break
-	fn   func()
 	h    Handler
 	a, b int64
 }
@@ -96,7 +94,7 @@ func (h *entryHeap) pop() entry {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = entry{} // release the closure
+	q[n] = entry{} // release the handler
 	*h = q[:n]
 	q = q[:n]
 	i := 0
@@ -138,23 +136,12 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // Len returns the number of scheduled events not yet executed.
 func (k *Kernel) Len() int { return len(k.h) }
 
-// Post schedules fn at virtual time t. Posting into the past is a
+// PostHandler schedules h(a, b) at virtual time t. The handler and both
+// argument words are stored inline in the heap entry, so the steady state
+// of a scheduler that binds its handlers once (method values kept in struct
+// fields) posts events without allocating. Posting into the past is a
 // programming error — virtual time never rewinds — and panics. Posting at
 // the current instant is allowed and runs before the instant closes.
-func (k *Kernel) Post(t time.Duration, prio Priority, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: post at %v before now %v", t, k.now))
-	}
-	k.seq++
-	k.h.push(entry{t: t, prio: prio, seq: k.seq, fn: fn})
-}
-
-// PostHandler schedules h(a, b) at virtual time t — the allocation-free
-// form of Post. The handler and both argument words are stored inline in
-// the heap entry, so the steady state of a scheduler that binds its
-// handlers once (method values kept in struct fields) posts events without
-// allocating. Ordering is identical to Post: handlers and closures share
-// one (t, prio, post-order) timeline.
 func (k *Kernel) PostHandler(t time.Duration, prio Priority, h Handler, a, b int64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: post at %v before now %v", t, k.now))
@@ -202,11 +189,7 @@ func (k *Kernel) Run(afterInstant func()) {
 		k.now = now
 		for len(k.h) > 0 && k.h[0].t == now {
 			e := k.h.pop()
-			if e.h != nil {
-				e.h(e.a, e.b)
-			} else {
-				e.fn()
-			}
+			e.h(e.a, e.b)
 		}
 		if afterInstant != nil {
 			afterInstant()

@@ -10,12 +10,12 @@ import (
 func TestRunOrder(t *testing.T) {
 	k := New()
 	var got []int
-	rec := func(id int) func() { return func() { got = append(got, id) } }
-	k.Post(2*time.Second, 1, rec(5))
-	k.Post(time.Second, 1, rec(2))
-	k.Post(time.Second, 0, rec(1))
-	k.Post(2*time.Second, 0, rec(3))
-	k.Post(2*time.Second, 0, rec(4)) // same (t, prio): post order breaks the tie
+	rec := Handler(func(id, _ int64) { got = append(got, int(id)) })
+	k.PostHandler(2*time.Second, 1, rec, 5, 0)
+	k.PostHandler(time.Second, 1, rec, 2, 0)
+	k.PostHandler(time.Second, 0, rec, 1, 0)
+	k.PostHandler(2*time.Second, 0, rec, 3, 0)
+	k.PostHandler(2*time.Second, 0, rec, 4, 0) // same (t, prio): post order breaks the tie
 	k.Run(nil)
 	want := []int{1, 2, 3, 4, 5}
 	for i := range want {
@@ -35,11 +35,12 @@ func TestRunOrder(t *testing.T) {
 func TestInstantBatching(t *testing.T) {
 	k := New()
 	var events, instants []time.Duration
-	k.Post(time.Second, 0, func() {
+	record := Handler(func(_, _ int64) { events = append(events, k.Now()) })
+	k.PostHandler(time.Second, 0, func(_, _ int64) {
 		events = append(events, k.Now())
-		k.Post(time.Second, 1, func() { events = append(events, k.Now()) }) // same instant
-	})
-	k.Post(3*time.Second, 0, func() { events = append(events, k.Now()) })
+		k.PostHandler(time.Second, 1, record, 0, 0) // same instant
+	}, 0, 0)
+	k.PostHandler(3*time.Second, 0, record, 0, 0)
 	k.Run(func() { instants = append(instants, k.Now()) })
 	if len(events) != 3 {
 		t.Fatalf("events = %v", events)
@@ -53,12 +54,13 @@ func TestInstantBatching(t *testing.T) {
 // reopen it — the hook runs again at the same time before the clock moves.
 func TestAfterInstantReopens(t *testing.T) {
 	k := New()
-	k.Post(time.Second, 0, func() {})
+	noop := Handler(func(_, _ int64) {})
+	k.PostHandler(time.Second, 0, noop, 0, 0)
 	hooks := 0
 	k.Run(func() {
 		hooks++
 		if hooks == 1 {
-			k.Post(k.Now(), 0, func() {}) // zero-duration follow-up work
+			k.PostHandler(k.Now(), 0, noop, 0, 0) // zero-duration follow-up work
 		}
 	})
 	if hooks != 2 {
@@ -71,15 +73,34 @@ func TestAfterInstantReopens(t *testing.T) {
 
 func TestPostIntoPastPanics(t *testing.T) {
 	k := New()
-	k.Post(2*time.Second, 0, func() {
+	k.PostHandler(2*time.Second, 0, func(_, _ int64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("posting into the past did not panic")
 			}
 		}()
-		k.Post(time.Second, 0, func() {})
-	})
+		k.PostHandler(time.Second, 0, func(_, _ int64) {}, 0, 0)
+	}, 0, 0)
 	k.Run(nil)
+}
+
+// TestStop: Stop lets the current instant finish — events already due keep
+// their turn and the hook still runs — but Run opens no further instant.
+func TestStop(t *testing.T) {
+	k := New()
+	var got []int
+	rec := Handler(func(id, _ int64) { got = append(got, int(id)) })
+	k.PostHandler(time.Second, 0, func(_, _ int64) { k.Stop() }, 0, 0)
+	k.PostHandler(time.Second, 1, rec, 1, 0) // same instant, after the Stop
+	k.PostHandler(2*time.Second, 0, rec, 2, 0)
+	hooks := 0
+	k.Run(func() { hooks++ })
+	if len(got) != 1 || got[0] != 1 || hooks != 1 {
+		t.Fatalf("ran %v with %d hooks, want [1] and one hook (the stopped instant finishes)", got, hooks)
+	}
+	if k.Now() != time.Second || k.Len() != 1 {
+		t.Fatalf("now = %v with %d pending, want 1s with the 2s event still queued", k.Now(), k.Len())
+	}
 }
 
 type recordSink struct {
@@ -99,8 +120,8 @@ func TestEmitReachesSinksInOrder(t *testing.T) {
 	a, b := &recordSink{}, &recordSink{}
 	k.Attach(a)
 	k.Attach(b)
-	k.Post(time.Second, 0, func() { k.Emit("one") })
-	k.Post(2*time.Second, 0, func() { k.Emit("two") })
+	k.PostHandler(time.Second, 0, func(_, _ int64) { k.Emit("one") }, 0, 0)
+	k.PostHandler(2*time.Second, 0, func(_, _ int64) { k.Emit("two") }, 0, 0)
 	k.Run(nil)
 	for _, s := range []*recordSink{a, b} {
 		if len(s.evs) != 2 || s.evs[0] != "one" || s.evs[1] != "two" {
@@ -117,10 +138,10 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []int {
 		k := New()
 		var got []int
+		rec := Handler(func(i, _ int64) { got = append(got, int(i)) })
 		for i := 0; i < 100; i++ {
-			i := i
 			// A spread of colliding times and priorities.
-			k.Post(time.Duration(i%7)*time.Second, Priority(i%3), func() { got = append(got, i) })
+			k.PostHandler(time.Duration(i%7)*time.Second, Priority(i%3), rec, int64(i), 0)
 		}
 		k.Run(nil)
 		return got

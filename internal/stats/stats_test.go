@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -312,4 +313,62 @@ func TestJitter(t *testing.T) {
 			t.Fatalf("Jitter produced non-positive value %v", v)
 		}
 	}
+}
+
+// TestLatencyRingP95IndexRule pins the ring's contract: cold until 16
+// samples, then the nearest-rank p95 — sorted[95*(n-1)/100] — over at most
+// the 64 most recent observations, in any arrival order.
+func TestLatencyRingP95IndexRule(t *testing.T) {
+	for _, tc := range []struct {
+		n        int // observations 1ms..n ms, fed in descending order
+		wantWarm bool
+		want     time.Duration
+	}{
+		{0, false, 0},
+		{15, false, 0},
+		{16, true, 15 * time.Millisecond},  // index 95*15/100 = 14
+		{20, true, 19 * time.Millisecond},  // index 18
+		{21, true, 20 * time.Millisecond},  // index 19
+		{64, true, 60 * time.Millisecond},  // index 59
+		{100, true, 60 * time.Millisecond}, // the window kept the last 64: 64ms..1ms
+	} {
+		var r LatencyRing
+		for i := tc.n; i >= 1; i-- {
+			r.Observe(time.Duration(i) * time.Millisecond)
+		}
+		got, warm := r.P95()
+		if warm != tc.wantWarm || got != tc.want {
+			t.Errorf("n=%d: P95 = (%v, %v), want (%v, %v)", tc.n, got, warm, tc.want, tc.wantWarm)
+		}
+	}
+}
+
+// TestLatencyRingEvictsOldest: past the window the oldest samples fall out,
+// so the threshold tracks a regime change instead of averaging over history.
+func TestLatencyRingEvictsOldest(t *testing.T) {
+	var r LatencyRing
+	for i := 0; i < 64; i++ {
+		r.Observe(time.Second)
+	}
+	for i := 0; i < 64; i++ {
+		r.Observe(time.Millisecond)
+	}
+	if got, _ := r.P95(); got != time.Millisecond {
+		t.Errorf("P95 after a full window of fast samples = %v, want 1ms", got)
+	}
+}
+
+func TestLatencyRingAllocFree(t *testing.T) {
+	var r LatencyRing
+	for i := 0; i < 64; i++ {
+		r.Observe(time.Duration(64-i) * time.Microsecond)
+	}
+	var sink time.Duration
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Observe(time.Millisecond)
+		sink, _ = r.P95()
+	}); allocs != 0 {
+		t.Fatalf("Observe+P95 allocated %.1f objects per run, want 0", allocs)
+	}
+	_ = sink
 }

@@ -180,10 +180,10 @@ func TestAdaptiveHedgeDelayTracksP95(t *testing.T) {
 	if d := r.hedgeDelay(); d != defaultHedgeDelay {
 		t.Fatalf("pre-warmup delay = %v, want %v", d, defaultHedgeDelay)
 	}
-	for i := 0; i < latWindow; i++ {
-		r.recordLatency(3 * time.Millisecond)
+	for i := 0; i < 64; i++ { // fill the ring's window
+		r.lat.Observe(3 * time.Millisecond)
 	}
-	r.recordLatency(40 * time.Millisecond) // one outlier inside the window
+	r.lat.Observe(40 * time.Millisecond) // one outlier inside the window
 	d := r.hedgeDelay()
 	if d < 3*time.Millisecond || d > 40*time.Millisecond {
 		t.Fatalf("adaptive delay = %v, want within the observed latency range", d)

@@ -32,14 +32,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/retry"
+	"synapse/internal/stats"
 	"synapse/internal/store"
 	"synapse/internal/storesrv"
 	"synapse/internal/telemetry"
@@ -60,10 +60,6 @@ const (
 	// compute a p95, and hedgeFloor bounds the adaptive delay below.
 	defaultHedgeDelay = 100 * time.Millisecond
 	hedgeFloor        = time.Millisecond
-	// latWindow is the per-client ring of recent GET latencies feeding the
-	// adaptive hedge delay.
-	latWindow = 64
-	latWarmup = 16
 	// gzipThreshold is the body size above which uploads are compressed.
 	gzipThreshold = 1 << 10
 )
@@ -152,10 +148,7 @@ type Remote struct {
 
 	hedgeEnabled bool
 	hedgeFixed   time.Duration
-	latMu        sync.Mutex
-	lat          [latWindow]time.Duration
-	latIdx       int
-	latN         int
+	lat          stats.LatencyRing // recent GET latencies feeding the adaptive hedge delay
 
 	// met holds the resilience counters; Stats() reads them. metricsReg is
 	// the registry they register into (WithMetrics; nil gets a private one).
@@ -252,19 +245,25 @@ func (r *Remote) Stats() Stats {
 // remoteError reconstructs sentinel errors from a structured error response
 // so errors.Is(err, store.ErrNotFound/ErrDocTooLarge) holds across the wire.
 func remoteError(status int, body []byte) error {
-	var er storesrv.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-		return fmt.Errorf("storeclnt: server returned HTTP %d: %s", status, bytes.TrimSpace(body))
+	er, ok := httpsvc.DecodeError(body)
+	if !ok {
+		return fmt.Errorf("storeclnt: server returned HTTP %d: %s", status, er.Error)
 	}
-	switch er.Code {
+	return sentinel(er.Code, er.Error)
+}
+
+// sentinel maps the service's error codes onto the store's sentinel errors,
+// for a whole-response envelope and a batch item alike.
+func sentinel(code, msg string) error {
+	switch code {
 	case storesrv.CodeNotFound:
-		return fmt.Errorf("%w: %s", store.ErrNotFound, er.Error)
+		return fmt.Errorf("%w: %s", store.ErrNotFound, msg)
 	case storesrv.CodeDocTooLarge:
-		return fmt.Errorf("%w: %s", store.ErrDocTooLarge, er.Error)
+		return fmt.Errorf("%w: %s", store.ErrDocTooLarge, msg)
 	default:
 		// The server's message carries its own prefix, and do() wraps with
 		// the endpoint; adding another package prefix here just stutters.
-		return errors.New(er.Error)
+		return errors.New(msg)
 	}
 }
 
@@ -348,20 +347,9 @@ func (r *Remote) roundTrip(ctx context.Context, c *call) (*response, error) {
 		return nil, fmt.Errorf("storeclnt: read response body: %w", err)
 	}
 	if c.hedgeable && resp.StatusCode < 500 {
-		r.recordLatency(time.Since(start))
+		r.lat.Observe(time.Since(start))
 	}
 	return &response{status: resp.StatusCode, header: resp.Header, body: data}, nil
-}
-
-// recordLatency feeds the adaptive hedge delay.
-func (r *Remote) recordLatency(d time.Duration) {
-	r.latMu.Lock()
-	r.lat[r.latIdx] = d
-	r.latIdx = (r.latIdx + 1) % latWindow
-	if r.latN < latWindow {
-		r.latN++
-	}
-	r.latMu.Unlock()
 }
 
 // hedgeDelay returns how long the primary GET may run before a hedge
@@ -370,21 +358,11 @@ func (r *Remote) hedgeDelay() time.Duration {
 	if r.hedgeFixed > 0 {
 		return r.hedgeFixed
 	}
-	r.latMu.Lock()
-	n := r.latN
-	var buf [latWindow]time.Duration
-	copy(buf[:], r.lat[:n])
-	r.latMu.Unlock()
-	if n < latWarmup {
+	p95, warm := r.lat.P95()
+	if !warm {
 		return defaultHedgeDelay
 	}
-	s := buf[:n]
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	p95 := s[n*95/100]
-	if p95 < hedgeFloor {
-		p95 = hedgeFloor
-	}
-	return p95
+	return max(p95, hedgeFloor)
 }
 
 // attempt performs one policy attempt, racing a hedge for slow hedgeable
@@ -439,23 +417,6 @@ func (r *Remote) attempt(ctx context.Context, c *call) (*response, error) {
 	}
 }
 
-// retryAfter parses a Retry-After header (delta-seconds or HTTP-date).
-func retryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
 // do issues c under the full resilience stack: overall deadline, circuit
 // breaker, retry policy with jittered backoff, Retry-After honoring, and
 // (for hedgeable calls) hedging. On success the returned response has a
@@ -497,10 +458,10 @@ func (r *Remote) do(ctx context.Context, c *call) (*response, error) {
 			// retry any method, after the server's own hint.
 			br.onSuccess() // alive, just overloaded
 			r.met.shed429.Inc()
-			return retry.After(remoteError(rs.status, rs.body), retryAfter(rs.header))
+			return retry.After(remoteError(rs.status, rs.body), httpsvc.RetryAfter(rs.header))
 		case rs.status >= 500:
 			br.onFailure()
-			err := retry.After(remoteError(rs.status, rs.body), retryAfter(rs.header))
+			err := retry.After(remoteError(rs.status, rs.body), httpsvc.RetryAfter(rs.header))
 			if !c.idempotent {
 				return terminal(err)
 			}
@@ -621,14 +582,7 @@ func (r *Remote) PutBatch(ps []*profile.Profile, truncate bool) ([]error, error)
 			r.invalidate(ps[i].Key())
 			continue
 		}
-		switch item.Code {
-		case storesrv.CodeDocTooLarge:
-			outcomes[i] = fmt.Errorf("%w: %s", store.ErrDocTooLarge, item.Error)
-		case storesrv.CodeNotFound:
-			outcomes[i] = fmt.Errorf("%w: %s", store.ErrNotFound, item.Error)
-		default:
-			outcomes[i] = errors.New(item.Error)
-		}
+		outcomes[i] = sentinel(item.Code, item.Error)
 	}
 	return outcomes, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"synapse/internal/chaos"
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/retry"
 	"synapse/internal/store"
@@ -142,7 +143,7 @@ func TestOverloadShedsAndClientHonorsRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := &slowReadStore{Store: backend, delay: 10 * time.Millisecond}
-	srv := storesrv.New(slow, storesrv.Config{MaxInFlight: 2, RequestTimeout: 5 * time.Second})
+	srv := storesrv.New(slow, storesrv.Config{Config: httpsvc.Config{MaxInFlight: 2, RequestTimeout: 5 * time.Second}})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
@@ -24,7 +24,6 @@ type gatedStore struct {
 	store.Store
 	gate    chan struct{}
 	reading atomic.Int64
-	peak    atomic.Int64
 }
 
 func newGatedStore(inner store.Store) *gatedStore {
@@ -32,14 +31,8 @@ func newGatedStore(inner store.Store) *gatedStore {
 }
 
 func (g *gatedStore) Find(command string, tags map[string]string) (profile.Set, error) {
-	n := g.reading.Add(1)
+	g.reading.Add(1)
 	defer g.reading.Add(-1)
-	for {
-		p := g.peak.Load()
-		if n <= p || g.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
 	<-g.gate
 	return g.Store.Find(command, tags)
 }
@@ -61,119 +54,14 @@ func putBody(t *testing.T, command string) *strings.Reader {
 	return strings.NewReader(string(data))
 }
 
-func decodeErr(t *testing.T, resp *http.Response) ErrorResponse {
+func decodeErr(t *testing.T, resp *http.Response) httpsvc.ErrorResponse {
 	t.Helper()
 	defer resp.Body.Close()
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
 	return er
-}
-
-// TestBoundedInFlightSheds: with MaxInFlight=2 and no queue, a third
-// concurrent read is shed with 429 + Retry-After while the backend never
-// sees more than two concurrent queries.
-func TestBoundedInFlightSheds(t *testing.T) {
-	gs := newGatedStore(store.NewSharded(2))
-	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(gs, Config{MaxInFlight: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	codes := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/profiles?key=held")
-			if err != nil {
-				codes <- -1
-				return
-			}
-			if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
-				codes <- -2
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			codes <- resp.StatusCode
-		}()
-	}
-	// Wait until two reads are parked inside the backend, then release.
-	deadline := time.Now().Add(2 * time.Second)
-	for gs.reading.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // give the rest time to arrive and shed
-	gs.release()
-	wg.Wait()
-	close(codes)
-
-	var ok, shed int
-	for c := range codes {
-		switch c {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-		case -2:
-			t.Fatal("429 response missing Retry-After header")
-		default:
-			t.Fatalf("unexpected outcome %d", c)
-		}
-	}
-	if ok != 2 || shed != 6 {
-		t.Fatalf("ok=%d shed=%d, want 2 admitted and 6 shed", ok, shed)
-	}
-	if p := gs.peak.Load(); p > 2 {
-		t.Fatalf("backend saw %d concurrent reads, bound is 2", p)
-	}
-	if _, s := srv.Counters(); s != 6 {
-		t.Fatalf("shed counter = %d, want 6", s)
-	}
-}
-
-// TestQueueAdmitsReadsAfterRelease: a read arriving at capacity parks in
-// the admission queue and completes once a slot frees, instead of shedding.
-func TestQueueAdmitsReadsAfterRelease(t *testing.T) {
-	gs := newGatedStore(store.NewSharded(2))
-	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 5 * time.Second})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	results := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Get(ts.URL + "/v1/profiles?key=held")
-			if err != nil {
-				results <- -1
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			results <- resp.StatusCode
-		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for gs.reading.Load() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // second read should now be queued
-	gs.release()
-	for i := 0; i < 2; i++ {
-		if c := <-results; c != http.StatusOK {
-			t.Fatalf("read %d finished with %d, want 200 (queued then admitted)", i, c)
-		}
-	}
 }
 
 // TestWritesShedFirst: at capacity, a write is refused immediately (429)
@@ -183,7 +71,7 @@ func TestWritesShedFirst(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 8})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1, Queue: 8}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -212,50 +100,11 @@ func TestWritesShedFirst(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed write missing Retry-After")
 	}
-	if er := decodeErr(t, resp); er.Code != CodeOverloaded {
-		t.Fatalf("code = %q, want %q", er.Code, CodeOverloaded)
+	if er := decodeErr(t, resp); er.Code != httpsvc.CodeOverloaded {
+		t.Fatalf("code = %q, want %q", er.Code, httpsvc.CodeOverloaded)
 	}
 	gs.release()
 	<-done
-}
-
-// TestQueueWaitBounded: a queued read sheds once the request-timeout wait
-// budget burns down, rather than waiting forever on a stuck slot.
-func TestQueueWaitBounded(t *testing.T) {
-	gs := newGatedStore(store.NewSharded(2))
-	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 50 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer gs.release() // unstick the holder before ts.Close waits on it
-
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/profiles?key=held")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for gs.reading.Load() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	start := time.Now()
-	resp, err := http.Get(ts.URL + "/v1/profiles?key=held")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("queued read behind a stuck slot got %d, want 429", resp.StatusCode)
-	}
-	if took := time.Since(start); took < 40*time.Millisecond || took > 2*time.Second {
-		t.Fatalf("queue wait lasted %v, want ~50ms", took)
-	}
 }
 
 // TestReadOnlyMode: writes shed with 503/read_only, reads and health checks
@@ -328,8 +177,8 @@ func TestDrainingShedsNewRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain got %d, want 503", resp.StatusCode)
 	}
-	if er := decodeErr(t, resp); er.Code != CodeDraining {
-		t.Fatalf("code = %q, want %q", er.Code, CodeDraining)
+	if er := decodeErr(t, resp); er.Code != httpsvc.CodeDraining {
+		t.Fatalf("code = %q, want %q", er.Code, httpsvc.CodeDraining)
 	}
 }
 
@@ -358,7 +207,7 @@ func TestHealthzBypassesAdmissionAndReportsCounters(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -401,29 +250,4 @@ func TestHealthzBypassesAdmissionAndReportsCounters(t *testing.T) {
 	}
 	gs.release()
 	<-done
-}
-
-// TestRequestTimeoutOnContext: admitted requests carry the configured
-// server-side deadline on their context.
-func TestRequestTimeoutOnContext(t *testing.T) {
-	srv := New(store.NewSharded(2), Config{RequestTimeout: 123 * time.Millisecond})
-	inner := srv.mux
-	var sawDeadline atomic.Bool
-	srv.mux = http.NewServeMux()
-	srv.mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, ok := r.Context().Deadline()
-		sawDeadline.Store(ok)
-		inner.ServeHTTP(w, r)
-	}))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/keys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if !sawDeadline.Load() {
-		t.Fatal("admitted request context carries no deadline")
-	}
 }

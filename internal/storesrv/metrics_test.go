@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
 	"synapse/internal/telemetry"
@@ -69,8 +70,10 @@ func TestMetricsEndpointServesREDSeries(t *testing.T) {
 // TestMetricsBypassesAdmission: scrapes must answer while the data path is
 // saturated or draining — observability is most needed during overload.
 func TestMetricsBypassesAdmission(t *testing.T) {
-	s := New(store.NewSharded(1), Config{MaxInFlight: 1})
-	s.adm.draining.Store(true)
+	s := New(store.NewSharded(1), Config{Config: httpsvc.Config{MaxInFlight: 1}})
+	if err := s.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
 	w := doJSON(t, s, http.MethodGet, "/v1/metrics", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics during drain = %d", w.Code)
@@ -99,13 +102,13 @@ func TestShedCountedByCode(t *testing.T) {
 
 func TestSharedRegistryAcrossServers(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	a := New(store.NewSharded(1), Config{Metrics: reg})
+	a := New(store.NewSharded(1), Config{Config: httpsvc.Config{Metrics: reg}})
 	if a.Metrics() != reg {
 		t.Fatal("server did not adopt the shared registry")
 	}
 	// Registering the same instruments from a second server must not panic
 	// (idempotent registration) — e.g. tests booting several servers.
-	b := New(store.NewSharded(1), Config{Metrics: reg})
+	b := New(store.NewSharded(1), Config{Config: httpsvc.Config{Metrics: reg}})
 	doJSON(t, a, http.MethodGet, "/v1/healthz", nil)
 	doJSON(t, b, http.MethodGet, "/v1/healthz", nil)
 	body := doJSON(t, a, http.MethodGet, "/v1/metrics", nil).Body.String()
@@ -129,7 +132,7 @@ func TestHealthzCarriesBuildBlock(t *testing.T) {
 func TestRequestLogging(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	s := New(store.NewSharded(1), Config{Logger: log})
+	s := New(store.NewSharded(1), Config{Config: httpsvc.Config{Logger: log}})
 	doJSON(t, s, http.MethodGet, "/v1/profiles?key=mdsim", nil)
 
 	var line struct {
@@ -146,22 +149,5 @@ func TestRequestLogging(t *testing.T) {
 	if line.Msg != "request" || line.Route != "/v1/profiles" ||
 		line.Method != "GET" || line.Code != http.StatusNotFound || line.Key != "mdsim" {
 		t.Errorf("log line fields wrong: %+v (%s)", line, buf.String())
-	}
-}
-
-func TestRouteOfBoundsCardinality(t *testing.T) {
-	for path, want := range map[string]string{
-		"/v1/profiles":              "/v1/profiles",
-		"/v1/profiles:batch":        "/v1/profiles:batch",
-		"/v1/keys":                  "/v1/keys",
-		"/v1/healthz":               "/v1/healthz",
-		"/v1/metrics":               "/v1/metrics",
-		"/debug/pprof/heap":         "/debug/pprof",
-		"/v1/profiles/abc/evil":     "other",
-		"/totally/made/up/9f8e7d6c": "other",
-	} {
-		if got := routeOf(path); got != want {
-			t.Errorf("routeOf(%q) = %q, want %q", path, got, want)
-		}
 	}
 }

@@ -15,8 +15,11 @@
 //	                               returns 304 so clients can cache)
 //	DELETE /v1/profiles?key=K      drop a key
 //	GET    /v1/keys                list keys
-//	GET    /v1/healthz             liveness probe
-//	/debug/pprof/*                 optional (Config.Pprof) runtime profiling
+//
+// Everything generic about the daemon — admission control, the RED
+// middleware, /v1/healthz, /v1/metrics, optional pprof, graceful drain —
+// is the shared internal/httpsvc stack; this package is the routes above
+// plus the store's admission policy (read-only mode, writes shed first).
 //
 // Errors round-trip as {"error": ..., "code": ...}; the storeclnt package
 // maps codes back onto store.ErrNotFound / store.ErrDocTooLarge.
@@ -31,32 +34,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
-	"synapse/internal/telemetry"
 )
 
-// Error codes carried in structured error responses.
+// Error codes carried in structured error responses, beside the admission
+// codes httpsvc owns (overloaded, draining). read_only rides on 503 and is
+// terminal for writes.
 const (
 	CodeNotFound    = "not_found"
 	CodeDocTooLarge = "doc_too_large"
 	CodeInvalid     = "invalid"
 	CodeInternal    = "internal"
+	CodeReadOnly    = "read_only"
 )
-
-// ErrorResponse is the wire form of a failed request.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
 
 // PutResponse answers a successful single put.
 type PutResponse struct {
@@ -89,39 +86,30 @@ type KeysResponse struct {
 	Keys []string `json:"keys"`
 }
 
-// Config tunes the service.
+// Config tunes the service: the generic stack's settings (admission,
+// deadline, pprof, metrics, logger) plus the store-specific degraded mode.
+// Under load, excess reads wait in the admission queue; excess writes are
+// shed immediately with 429 and a Retry-After hint (writes shed first).
 type Config struct {
-	// Pprof mounts net/http/pprof under /debug/pprof/.
-	Pprof bool
-	// MaxInFlight bounds concurrently-executing requests (0 = unbounded).
-	// Excess reads wait in the admission queue; excess writes are shed
-	// immediately with 429 and a Retry-After hint (writes shed first).
-	MaxInFlight int
-	// Queue is the admission-queue depth for reads arriving while
-	// MaxInFlight requests are executing (0 = shed instead of queueing).
-	Queue int
-	// RequestTimeout is the server-side deadline applied to each admitted
-	// request's context, and the bound on admission-queue waits (0 = none).
-	RequestTimeout time.Duration
+	httpsvc.Config
 	// ReadOnly starts the server in read-only degraded mode: writes are
 	// shed with 503/read_only, reads proceed. Toggle later via SetReadOnly.
 	ReadOnly bool
-	// Metrics is the registry the server's instruments register into; it is
-	// rendered at GET /v1/metrics in Prometheus text exposition. nil gets a
-	// private registry, so metrics always work; pass a shared registry to
-	// merge server and client series into one scrape.
-	Metrics *telemetry.Registry
-	// Logger receives one structured line per request (level DEBUG for
-	// successes, WARN for 5xx/shed) plus lifecycle events. nil discards.
-	Logger *slog.Logger
 }
 
-// Server serves a store.Store over HTTP. Construct with New; it implements
-// http.Handler, so it can be mounted in tests (httptest.NewServer) or run
-// standalone via Start/Shutdown.
+// HealthResponse is the /v1/healthz body: liveness plus the stack's overload
+// counters and build block.
+type HealthResponse struct {
+	Status string `json:"status"` // "ok", "read_only", or "draining"
+	httpsvc.Health
+}
+
+// Server serves a store.Store over HTTP on the shared httpsvc stack, which
+// supplies ServeHTTP (mount it in tests with httptest.NewServer), Start,
+// admission control and the RED middleware. Construct with New.
 type Server struct {
+	*httpsvc.Server
 	backend store.Store
-	mux     *http.ServeMux
 
 	// gen counts mutations per key. GET responses carry the generation as
 	// an ETag; remote clients revalidate their caches against it with
@@ -134,134 +122,64 @@ type Server struct {
 	gen   map[string]uint64
 	epoch string
 
-	// adm is the overload-protection state: in-flight bounding, admission
-	// queue, shedding, and the read-only/draining degraded modes.
-	adm *admission
-
-	met   *metrics
-	log   *slog.Logger
-	build telemetry.Build
-
-	httpSrv *http.Server
+	readOnly atomic.Bool
 }
 
 // New wraps backend in an HTTP service.
 func New(backend store.Store, cfg Config) *Server {
 	nonce := make([]byte, 6)
 	_, _ = rand.Read(nonce)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = telemetry.NopLogger()
-	}
 	s := &Server{
 		backend: backend,
-		mux:     http.NewServeMux(),
 		gen:     map[string]uint64{},
 		epoch:   hex.EncodeToString(nonce),
-		adm:     newAdmission(cfg),
-		log:     log,
-		build:   telemetry.BuildInfo(),
 	}
-	s.met = newMetrics(reg, s.adm)
-	s.mux.HandleFunc("PUT /v1/profiles", s.handlePut)
-	s.mux.HandleFunc("GET /v1/profiles", s.handleFind)
-	s.mux.HandleFunc("DELETE /v1/profiles", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/profiles:batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /v1/metrics", reg.Handler())
-	if cfg.Pprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	s.readOnly.Store(cfg.ReadOnly)
+	s.Server = httpsvc.New(cfg.Config, httpsvc.Service{
+		Subject: "storesrv: server",
+		Admit:   s.admit,
+		Health: func(status string, base httpsvc.Health) any {
+			if status == "ok" && s.readOnly.Load() {
+				status = "read_only"
+			}
+			return HealthResponse{Status: status, Health: base}
+		},
+	})
+	s.Metrics().GaugeFunc("synapse_admission_read_only",
+		"1 while the server is in read-only degraded mode.",
+		func() float64 { return httpsvc.BoolGauge(s.readOnly.Load()) })
+	s.Handle("PUT /v1/profiles", s.handlePut)
+	s.Handle("GET /v1/profiles", s.handleFind)
+	s.Handle("DELETE /v1/profiles", s.handleDelete)
+	s.Handle("POST /v1/profiles:batch", s.handleBatch)
+	s.Handle("GET /v1/keys", s.handleKeys)
 	return s
 }
 
-// ServeHTTP implements http.Handler. Every data-path request passes
-// admission control (health checks, metrics and pprof bypass it) and runs
-// under the configured server-side deadline. All requests — including
-// bypassed and shed ones — flow through the RED middleware: the request
-// counter, the latency histogram, and one structured log line.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rec := &statusRecorder{ResponseWriter: w}
-	s.serve(rec, r)
-	elapsed := time.Since(start)
-	route := routeOf(r.URL.Path)
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK // handler never wrote; net/http sends 200
+// admit is the store's admission policy: writes are shed first — refused
+// outright in read-only mode, and never queued under load.
+func (s *Server) admit(r *http.Request) httpsvc.Policy {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		return httpsvc.Policy{}
 	}
-	s.met.observe(route, r.Method, status, elapsed.Seconds())
-	level := slog.LevelDebug
-	if status >= 500 || status == http.StatusTooManyRequests {
-		level = slog.LevelWarn
+	if s.readOnly.Load() {
+		return httpsvc.Policy{Code: CodeReadOnly, Msg: "storesrv: server is read-only"}
 	}
-	attrs := []any{
-		slog.String("route", route),
-		slog.String("method", r.Method),
-		slog.Int("code", status),
-		slog.Duration("duration", elapsed),
-	}
-	if key := r.URL.Query().Get("key"); key != "" {
-		attrs = append(attrs, slog.String("key", key))
-	}
-	s.log.Log(r.Context(), level, "request", attrs...)
+	return httpsvc.Policy{NoQueue: true}
 }
 
-// serve is the pre-telemetry handler chain: bypass, admission, deadline.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if bypass(r) {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	release := s.admit(w, r)
-	if release == nil {
-		return // shed; response already written
-	}
-	defer release()
-	s.adm.inflight.Add(1)
-	defer s.adm.inflight.Add(-1)
-	if s.adm.timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.adm.timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
-	s.mux.ServeHTTP(w, r)
-}
+// SetReadOnly toggles read-only degraded mode at runtime: writes are shed
+// with 503/read_only while reads proceed normally.
+func (s *Server) SetReadOnly(on bool) { s.readOnly.Store(on) }
 
-// Metrics returns the registry the server's instruments live in — the same
-// one /v1/metrics renders.
-func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
+// ReadOnly reports whether the server is in read-only degraded mode.
+func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
-// Start listens on addr (e.g. ":8181" or "127.0.0.1:0") and serves in the
-// background, returning the bound address. Stop with Shutdown.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("storesrv: listen %s: %w", addr, err)
-	}
-	s.httpSrv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = s.httpSrv.Serve(ln) }()
-	return ln.Addr(), nil
-}
-
-// Shutdown gracefully stops a Start'ed server: new data-path requests are
-// shed (503/draining) while it stops accepting connections and waits (up to
-// ctx) for in-flight requests, then the backend closes.
+// Shutdown gracefully stops the server: the stack sheds new data-path
+// requests (503/draining) and waits (up to ctx) for in-flight ones, then
+// the backend closes.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.adm.draining.Store(true)
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := s.Server.Shutdown(ctx)
 	if cerr := s.backend.Close(); err == nil {
 		err = cerr
 	}
@@ -314,21 +232,26 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	_ = json.NewEncoder(out).Encode(v)
 }
 
-// writeError maps backend errors onto structured responses. The code, not
-// the message, is the contract: clients rebuild sentinel errors from it.
-func writeError(w http.ResponseWriter, r *http.Request, err error) {
-	status, code := http.StatusInternalServerError, CodeInternal
+// codeOf maps a backend error onto its status and structured code. The
+// code, not the message, is the contract: clients rebuild sentinel errors
+// from it.
+func codeOf(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, store.ErrNotFound):
-		status, code = http.StatusNotFound, CodeNotFound
+		return http.StatusNotFound, CodeNotFound
 	case errors.Is(err, store.ErrDocTooLarge):
-		status, code = http.StatusRequestEntityTooLarge, CodeDocTooLarge
+		return http.StatusRequestEntityTooLarge, CodeDocTooLarge
 	}
-	writeJSON(w, r, status, ErrorResponse{Error: err.Error(), Code: code})
+	return http.StatusInternalServerError, CodeInternal
+}
+
+func writeError(w http.ResponseWriter, r *http.Request, err error) {
+	status, code := codeOf(err)
+	writeJSON(w, r, status, httpsvc.ErrorResponse{Error: err.Error(), Code: code})
 }
 
 func writeBadRequest(w http.ResponseWriter, r *http.Request, err error) {
-	writeJSON(w, r, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: CodeInvalid})
+	writeJSON(w, r, http.StatusBadRequest, httpsvc.ErrorResponse{Error: err.Error(), Code: CodeInvalid})
 }
 
 // decodeProfile reads one profile from the (possibly gzipped) request body.
@@ -345,30 +268,27 @@ func decodeProfile(r *http.Request) (*profile.Profile, error) {
 	return profile.Decode(data)
 }
 
+// put stores p, degrading to the document limit when truncate is set.
+// Backends without a limit cannot overflow; a strict put is equivalent.
+func (s *Server) put(p *profile.Profile, truncate bool) (dropped int, err error) {
+	if tr, ok := s.backend.(store.Truncator); truncate && ok {
+		return tr.PutTruncated(p)
+	}
+	return 0, s.backend.Put(p)
+}
+
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	p, err := decodeProfile(r)
 	if err != nil {
 		writeBadRequest(w, r, err)
 		return
 	}
-	key := p.Key()
-	var dropped int
-	if r.URL.Query().Get("truncate") == "1" {
-		tr, ok := s.backend.(store.Truncator)
-		if !ok {
-			// Backends without a document limit cannot overflow; a
-			// strict put is equivalent.
-			err = s.backend.Put(p)
-		} else {
-			dropped, err = tr.PutTruncated(p)
-		}
-	} else {
-		err = s.backend.Put(p)
-	}
+	dropped, err := s.put(p, r.URL.Query().Get("truncate") == "1")
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
+	key := p.Key()
 	writeJSON(w, r, http.StatusOK, PutResponse{Key: key, Dropped: dropped, Generation: s.bump(key)})
 }
 
@@ -396,22 +316,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var perr error
-		tr, isTr := s.backend.(store.Truncator)
-		if req.Truncate && isTr {
-			item.Dropped, perr = tr.PutTruncated(p)
-		} else {
-			perr = s.backend.Put(p)
-		}
-		if perr != nil {
+		if item.Dropped, perr = s.put(p, req.Truncate); perr != nil {
 			item.Error = perr.Error()
-			switch {
-			case errors.Is(perr, store.ErrDocTooLarge):
-				item.Code = CodeDocTooLarge
-			case errors.Is(perr, store.ErrNotFound):
-				item.Code = CodeNotFound
-			default:
-				item.Code = CodeInternal
-			}
+			_, item.Code = codeOf(perr)
 			continue
 		}
 		item.Key = p.Key()

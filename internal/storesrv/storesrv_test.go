@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
@@ -159,7 +160,7 @@ func TestStructuredErrors(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("missing profile = %d", w.Code)
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestGzipRequestAndResponse(t *testing.T) {
 }
 
 func TestPprofMountOptional(t *testing.T) {
-	on := New(store.NewMem(), Config{Pprof: true})
+	on := New(store.NewMem(), Config{Config: httpsvc.Config{Pprof: true}})
 	w := doJSON(t, on, http.MethodGet, "/debug/pprof/", nil)
 	if w.Code != http.StatusOK {
 		t.Errorf("pprof enabled index = %d", w.Code)

@@ -17,8 +17,8 @@
 //	        synapse.OnMachine("stampede"))
 //
 // Execution is simulated by default: commands resolve to synthetic workload
-// models running on calibrated machine models (see DESIGN.md for the
-// substitution rationale), which makes every experiment deterministic and
+// models running on calibrated machine models (docs/architecture.md maps
+// the substituting packages), which makes every experiment deterministic and
 // laptop-fast. WithRealExecution switches to actually spawning processes and
 // consuming host resources.
 //
