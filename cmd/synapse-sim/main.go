@@ -53,10 +53,12 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"synapse/internal/cluster"
@@ -172,6 +174,12 @@ func run(args []string) error {
 	}
 	defer st.Close()
 
+	// An interrupt cancels the run — store lookups, replays and, with
+	// -workers-remote, every in-flight execute RPC — instead of killing the
+	// process and orphaning the chunks the fleet is still computing.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	opts := scenario.RunOptions{Workers: *workers}
 	if *workersRemote != "" {
 		var fleet []dist.Worker
@@ -188,7 +196,7 @@ func run(args []string) error {
 		if len(fleet) == 0 {
 			return fmt.Errorf("-workers-remote lists no addresses")
 		}
-		co, err := dist.NewCoordinator(context.Background(), spec, st, dist.Config{
+		co, err := dist.NewCoordinator(ctx, spec, st, dist.Config{
 			Workers:    fleet,
 			Shards:     *shards,
 			ChunkSize:  *chunk,
@@ -229,7 +237,7 @@ func run(args []string) error {
 	if *progress {
 		opts.Progress = os.Stderr
 	}
-	rep, err := scenario.Run(context.Background(), spec, st, opts)
+	rep, err := scenario.Run(ctx, spec, st, opts)
 	if err != nil {
 		return err
 	}

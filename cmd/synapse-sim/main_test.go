@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"synapse/internal/core"
+	"synapse/internal/dist"
 	"synapse/internal/scenario"
 	"synapse/internal/store"
 	"synapse/internal/telemetry"
@@ -455,5 +461,62 @@ func TestSimProfilingFlags(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Fatalf("profile %s is empty", p)
 		}
+	}
+}
+
+// TestSimInterruptCancelsRemoteWork: Ctrl-C during a -workers-remote run
+// must cancel the in-flight execute RPC, not orphan it — run returns an
+// error (a non-zero exit) within a second of the signal, and the worker's
+// parked handler sees its request context cancelled.
+func TestSimInterruptCancelsRemoteWork(t *testing.T) {
+	storeDir, specPath := setup(t)
+	parked := make(chan struct{}, 1)    // one chunk in flight against one worker
+	cancelled := make(chan struct{}, 1) // ditto
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/compile":
+			var req dist.CompileRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			json.NewEncoder(w).Encode(dist.CompileResponse{Session: req.Session, Seed: req.Spec.Seed})
+		case "/v1/execute":
+			// Drain the body so the server watches the connection and
+			// cancels r.Context() when the client goes away.
+			io.Copy(io.Discard, r.Body)
+			parked <- struct{}{}
+			<-r.Context().Done()
+			cancelled <- struct{}{}
+		}
+	}))
+	defer worker.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-scenario", specPath, "-store", storeDir, "-workers-remote", worker.URL})
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("run returned %v before any execute RPC parked", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no execute RPC reached the worker")
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("run succeeded after SIGINT, want an error (non-zero exit)")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("run still going 1s after SIGINT: the interrupt does not cancel remote work")
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(time.Second):
+		t.Error("worker handler never saw its request context cancelled: the RPC was orphaned")
 	}
 }

@@ -57,16 +57,21 @@ func (w *HTTPWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scena
 	if err := w.post(ctx, "/v1/execute", req, &resp); err != nil {
 		return nil, err
 	}
-	return resp.Outcomes, nil
+	slab, err := unpackOutcomes(resp.Packed)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
+	}
+	return appendPointers(make([]*scenario.Outcome, 0, len(slab)), slab), nil
 }
 
 // ExecuteStream implements StreamWorker: it asks for an NDJSON response and
-// hands each outcome batch to emit as it is decoded, so the chunk's result
-// never materializes as one body on either side. A terminal done line is
-// required — a stream that ends without one (connection cut, worker died
-// mid-chunk) is an error, never a silently short result. Servers that
-// predate streaming answer with a plain JSON body; that degrades to a
-// single emit.
+// hands each outcome batch to emit as it is decoded — one slab per line —
+// so the chunk's result never materializes as one body on either side. The
+// slice handed to emit is reused for the next line; the outcomes it points
+// to are the callee's. A terminal done line is required — a stream that
+// ends without one (connection cut, worker died mid-chunk) is an error,
+// never a silently short result. Servers that predate streaming answer
+// with a plain JSON body; that degrades to a single emit.
 func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
 	sreq := *req
 	sreq.Stream = true
@@ -75,15 +80,25 @@ func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emi
 		return err
 	}
 	defer resp.Body.Close()
+	var batch []*scenario.Outcome // emit's argument, reused line to line
+	deliver := func(packed []byte) (int, error) {
+		slab, err := unpackOutcomes(packed)
+		if err != nil {
+			return 0, fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
+		}
+		batch = appendPointers(batch[:0], slab)
+		return len(slab), emit(batch)
+	}
+	dec := json.NewDecoder(resp.Body)
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
 		// Pre-streaming server: one ExecuteResponse body, emitted whole.
 		var er ExecuteResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		if err := dec.Decode(&er); err != nil {
 			return fmt.Errorf("dist: %s /v1/execute: decode response: %w", w.base, err)
 		}
-		return emit(er.Outcomes)
+		_, err := deliver(er.Packed)
+		return err
 	}
-	dec := json.NewDecoder(resp.Body)
 	streamed := 0
 	for {
 		var line StreamChunk
@@ -102,9 +117,12 @@ func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emi
 			}
 			return nil
 		default:
-			streamed += len(line.Outcomes)
-			if err := emit(line.Outcomes); err != nil {
+			n, err := deliver(line.Packed)
+			if err != nil {
 				return err
+			}
+			if streamed += n; streamed > len(req.Jobs) {
+				return fmt.Errorf("dist: %s /v1/execute: stream carries %d outcomes for %d jobs", w.base, streamed, len(req.Jobs))
 			}
 		}
 	}

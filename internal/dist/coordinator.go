@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -128,8 +127,7 @@ type dispatchScratch struct {
 	chunks   []chunkState
 	queue    []*chunkState
 	payload  []scenario.Job
-	buffered map[int]*scenario.Outcome
-	flush    []*scenario.Outcome
+	buffered []*scenario.Outcome // indexed by job; nil = not committed, or already folded
 	requeue  []*chunkState
 	idle     []*workerState
 }
@@ -367,21 +365,15 @@ func (co *Coordinator) stealThreshold() time.Duration {
 	return max(stealFactor*p95, stealFloor)
 }
 
-// outcomesDigest canonically hashes a chunk's outcomes: FNV-1a over the
-// JSON encoding (Go marshals map keys sorted, so the encoding is
-// canonical). Equal digests mean byte-equal encodings — the check that
-// makes first-complete-wins speculation safe: a primary and its twin must
-// be indistinguishable, or the workers are nondeterministic and no fold
-// may happen.
-func outcomesDigest(outs []*scenario.Outcome) (uint64, error) {
+// outcomesDigest hashes a chunk's outcomes: FNV-1a over their packed wire
+// records, the exact bytes a worker ships. Equal digests mean byte-equal
+// results — the check that makes first-complete-wins speculation safe: a
+// primary and its twin must be indistinguishable, or the workers are
+// nondeterministic and no fold may happen. Every outcome must be non-nil.
+func outcomesDigest(outs []*scenario.Outcome) uint64 {
 	h := fnv.New64a()
-	enc := json.NewEncoder(h)
-	for _, o := range outs {
-		if err := enc.Encode(o); err != nil {
-			return 0, err
-		}
-	}
-	return h.Sum64(), nil
+	h.Write(packOutcomes(nil, outs))
+	return h.Sum64()
 }
 
 // plan partitions jobs into shards by rendezvous hashing and splits each
@@ -489,9 +481,11 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 	co.jobs.Add(int64(len(jobs)))
 	co.plan(jobs)
 	sc := &co.scratch
-	if sc.buffered == nil {
-		sc.buffered = make(map[int]*scenario.Outcome)
+	if cap(sc.buffered) < len(jobs) {
+		sc.buffered = make([]*scenario.Outcome, len(jobs))
 	}
+	sc.buffered = sc.buffered[:len(jobs)]
+	clear(sc.buffered) // a failed dispatch can leave commits behind
 	sc.idle = sc.idle[:0]
 	for _, ws := range co.workers {
 		if !ws.dead.Load() {
@@ -601,26 +595,18 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 
 	// flush folds the contiguous prefix out through sink and releases it.
 	flush := func() error {
-		sc.flush = sc.flush[:0]
 		first := watermark
-		for {
-			o, ok := sc.buffered[watermark]
-			if !ok {
-				break
-			}
-			sc.flush = append(sc.flush, o)
-			delete(sc.buffered, watermark)
+		for watermark < len(sc.buffered) && sc.buffered[watermark] != nil {
 			watermark++
 		}
-		if len(sc.flush) == 0 {
+		if watermark == first {
 			return nil
 		}
-		admitted -= len(sc.flush)
+		admitted -= watermark - first
 		co.watermark.Store(int64(watermark))
-		err := sink(first, sc.flush)
-		for i := range sc.flush {
-			sc.flush[i] = nil
-		}
+		run := sc.buffered[first:watermark]
+		err := sink(first, run)
+		clear(run)
 		return err
 	}
 
@@ -670,22 +656,6 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 		if failErr != nil {
 			return // draining; the result is moot
 		}
-		if r.c.done {
-			// The race's loser: its outcomes must be byte-equal to what the
-			// winner committed, then they are discarded.
-			d, err := outcomesDigest(r.outs)
-			if err != nil {
-				failErr = err
-				return
-			}
-			if !r.c.hasDigest || d != r.c.digest {
-				failErr = fmt.Errorf("dist: worker %s computed different outcomes for shard %d chunk at job %d — workers are nondeterministic, refusing to fold",
-					r.ws.w.Name(), r.c.shard, r.c.idxs[0])
-				return
-			}
-			co.specDiscards.Add(1)
-			return
-		}
 		if len(r.outs) != len(r.c.idxs) {
 			failErr = fmt.Errorf("dist: worker %s returned %d outcomes for shard %d chunk's %d jobs",
 				r.ws.w.Name(), len(r.outs), r.c.shard, len(r.c.idxs))
@@ -698,15 +668,21 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 				return
 			}
 		}
+		if r.c.done {
+			// The race's loser: its outcomes must be byte-equal to what the
+			// winner committed, then they are discarded.
+			if !r.c.hasDigest || outcomesDigest(r.outs) != r.c.digest {
+				failErr = fmt.Errorf("dist: worker %s computed different outcomes for shard %d chunk at job %d — workers are nondeterministic, refusing to fold",
+					r.ws.w.Name(), r.c.shard, r.c.idxs[0])
+				return
+			}
+			co.specDiscards.Add(1)
+			return
+		}
 		if r.c.attempts > 0 {
 			// A twin is still out; remember what won so the loser can be
 			// verified without retaining the outcomes themselves.
-			d, err := outcomesDigest(r.outs)
-			if err != nil {
-				failErr = err
-				return
-			}
-			r.c.digest, r.c.hasDigest = d, true
+			r.c.digest, r.c.hasDigest = outcomesDigest(r.outs), true
 		}
 		r.c.done = true
 		if cancel := r.c.cancels[1-slot]; cancel != nil {
@@ -834,6 +810,8 @@ func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chu
 		var o []*scenario.Outcome
 		var err error
 		if sw, ok := ws.w.(StreamWorker); ok {
+			// emit's slice is the worker's to reuse; only the outcomes it
+			// points to (one slab per wire line) change hands.
 			o = make([]*scenario.Outcome, 0, len(c.jobs))
 			err = sw.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
 				o = append(o, batch...)

@@ -156,18 +156,22 @@ func TestDistMatchesLocalRun(t *testing.T) {
 
 // dyingWorker passes through to its inner worker for the first dieAfter
 // Execute calls, then fails every one — a worker crash as the coordinator
-// observes it.
+// observes it. killed, when set, is closed at the first failing call.
 type dyingWorker struct {
 	Worker
 	mu       sync.Mutex
 	calls    int
 	dieAfter int
+	killed   chan struct{}
 }
 
 func (d *dyingWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
 	d.mu.Lock()
 	d.calls++
 	n := d.calls
+	if n == d.dieAfter+1 && d.killed != nil {
+		close(d.killed)
+	}
 	d.mu.Unlock()
 	if n > d.dieAfter {
 		return nil, fmt.Errorf("injected worker crash (call %d)", n)
@@ -179,6 +183,24 @@ func (d *dyingWorker) executeCalls() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.calls
+}
+
+// latchedWorker holds every Execute until latch closes. The pull scheduler
+// hands chunks to whoever is idle, so an unlatched healthy fleet can drain
+// a short queue before the dying worker returns for the chunk that kills
+// it; latching the healthy workers on the kill makes it happen every run.
+type latchedWorker struct {
+	Worker
+	latch <-chan struct{}
+}
+
+func (l *latchedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+	select {
+	case <-l.latch:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return l.Worker.Execute(ctx, req)
 }
 
 // bigJitteredSpec has enough distinct jobs that every worker in a fleet of
@@ -213,9 +235,12 @@ func TestDistWorkerKillReassignment(t *testing.T) {
 			StealAfter: 20 * time.Millisecond, Window: 6}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
-			dying := &dyingWorker{Worker: NewLocalWorker("dying", 2), dieAfter: 1}
+			dying := &dyingWorker{Worker: NewLocalWorker("dying", 2), dieAfter: 1, killed: make(chan struct{})}
 			cfg := variant.cfg
-			cfg.Workers = append([]Worker{dying}, localFleet(3)...)
+			cfg.Workers = []Worker{dying}
+			for _, w := range localFleet(3) {
+				cfg.Workers = append(cfg.Workers, &latchedWorker{Worker: w, latch: dying.killed})
+			}
 			rep, co := runDist(t, spec, st, cfg)
 			if got := marshalReport(t, rep); !bytes.Equal(got, want) {
 				t.Errorf("report after worker kill diverged from clean run\ngot:\n%s\nwant:\n%s", got, want)

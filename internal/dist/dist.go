@@ -52,7 +52,9 @@ var (
 	// coordinator's — the two sides are not running the same (spec, seed,
 	// shards) and no fold must happen. Terminal.
 	ErrShardKey = errors.New("dist: shard key mismatch")
-	// ErrInvalid: the worker rejected the request shape. Terminal.
+	// ErrInvalid: a malformed protocol message — the worker rejected the
+	// request shape, or a response's packed outcomes are not whole records.
+	// Terminal.
 	ErrInvalid = errors.New("dist: invalid request")
 	// ErrNoWorkers: every worker in the fleet is dead.
 	ErrNoWorkers = errors.New("dist: no live workers remain")
@@ -100,22 +102,23 @@ type ExecuteRequest struct {
 	Speculative bool `json:"speculative,omitempty"`
 }
 
-// ExecuteResponse returns the chunk's outcomes, in job order.
+// ExecuteResponse returns the chunk's outcomes, in job order, as packed
+// wire records (codec.go; encoding/json carries the bytes as base64).
 type ExecuteResponse struct {
-	Outcomes []*scenario.Outcome `json:"outcomes"`
+	Packed []byte `json:"packed"`
 }
 
 // StreamChunk is one NDJSON line of a streaming execute response. Outcome
-// lines carry contiguous job-order batches; the terminal line has either
-// Done set (with N echoing the total streamed, a truncation check) or an
-// in-band structured error — failures can surface after the 200 status is
-// already on the wire.
+// lines carry contiguous job-order batches as packed wire records; the
+// terminal line has either Done set (with N echoing the total streamed, a
+// truncation check) or an in-band structured error — failures can surface
+// after the 200 status is already on the wire.
 type StreamChunk struct {
-	Outcomes []*scenario.Outcome `json:"outcomes,omitempty"`
-	Done     bool                `json:"done,omitempty"`
-	N        int                 `json:"n,omitempty"`
-	Error    string              `json:"error,omitempty"`
-	Code     string              `json:"code,omitempty"`
+	Packed []byte `json:"packed,omitempty"`
+	Done   bool   `json:"done,omitempty"`
+	N      int    `json:"n,omitempty"`
+	Error  string `json:"error,omitempty"`
+	Code   string `json:"code,omitempty"`
 }
 
 // shardPrefix is the substream family shard keys derive from.

@@ -91,9 +91,19 @@ func NewServer(cfg ServerConfig) *WorkerServer {
 	return s
 }
 
+// maxExecuteJobs bounds the jobs one execute request may carry. Coordinators
+// send chunks of a few hundred; the cap only stops a request from asking for
+// an unbounded slab of outcomes.
+const maxExecuteJobs = 1 << 20
+
+// errTooLarge is the stack's body limit tripping, as a kind of ErrInvalid:
+// resending the same oversized request cannot succeed.
+var errTooLarge = fmt.Errorf("%w: body exceeds %d bytes", ErrInvalid, httpsvc.MaxBodyBytes)
+
 // wireErrors pairs each sentinel error with its structured code and status:
 // one table read by both directions of the wire — the server's error
 // statuses and in-band stream lines, and HTTPWorker rebuilding sentinels.
+// First match wins, so errTooLarge precedes the ErrInvalid it wraps.
 var wireErrors = []struct {
 	err    error
 	code   string
@@ -101,6 +111,7 @@ var wireErrors = []struct {
 }{
 	{ErrNoSession, CodeNoSession, http.StatusNotFound},
 	{ErrShardKey, CodeShardKey, http.StatusConflict},
+	{errTooLarge, httpsvc.CodeTooLarge, http.StatusRequestEntityTooLarge},
 	{ErrInvalid, CodeInvalid, http.StatusBadRequest},
 }
 
@@ -120,10 +131,23 @@ func writeError(w http.ResponseWriter, err error) {
 	httpsvc.WriteJSON(w, status, httpsvc.ErrorResponse{Error: err.Error(), Code: code})
 }
 
+// decodeBody decodes a JSON request body into v, mapping failures onto the
+// wire errors: errTooLarge past the stack's body limit, else ErrInvalid.
+func decodeBody(r *http.Request, what string, v any) error {
+	err := json.NewDecoder(r.Body).Decode(v)
+	switch {
+	case err == nil:
+		return nil
+	case httpsvc.BodyTooLarge(err):
+		return fmt.Errorf("%w: decode %s", errTooLarge, what)
+	}
+	return fmt.Errorf("%w: decode %s: %v", ErrInvalid, what, err)
+}
+
 func (s *WorkerServer) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: decode compile: %v", ErrInvalid, err))
+	if err := decodeBody(r, "compile", &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	sess, err := s.local.sessions.compile(r.Context(), &req, s.local.workers)
@@ -140,8 +164,12 @@ func (s *WorkerServer) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: decode execute: %v", ErrInvalid, err))
+	if err := decodeBody(r, "execute", &req); err != nil {
+		writeError(w, err)
+		return
+	}
+	if len(req.Jobs) > maxExecuteJobs {
+		writeError(w, fmt.Errorf("%w: %d jobs in one execute request, limit %d", ErrInvalid, len(req.Jobs), maxExecuteJobs))
 		return
 	}
 	// Validate before producing anything: session and shard-key failures
@@ -163,20 +191,23 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.jobsRun.Add(int64(len(req.Jobs)))
-		httpsvc.WriteJSON(w, http.StatusOK, ExecuteResponse{Outcomes: outs})
+		httpsvc.WriteJSON(w, http.StatusOK, ExecuteResponse{Packed: packOutcomes(nil, outs)})
 		return
 	}
-	// Streaming: one NDJSON StreamChunk line per outcome batch, flushed as
-	// the runner's reorder buffer releases the contiguous prefix, then a
-	// terminal done (or in-band error) line.
+	// Streaming: one NDJSON StreamChunk line per outcome batch (packed into
+	// one buffer reused line to line), flushed as the runner's reorder
+	// buffer releases the contiguous prefix, then a terminal done (or
+	// in-band error) line.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	// The RED middleware wraps w; the controller unwraps to the real flusher.
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	streamed := 0
+	var packed []byte
 	err = sess.runner.ExecuteJobsStream(r.Context(), req.Jobs, s.streamBatch, func(outs []*scenario.Outcome) error {
-		if err := enc.Encode(StreamChunk{Outcomes: outs}); err != nil {
+		packed = packOutcomes(packed[:0], outs)
+		if err := enc.Encode(StreamChunk{Packed: packed}); err != nil {
 			return err
 		}
 		streamed += len(outs)

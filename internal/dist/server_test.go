@@ -179,6 +179,36 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRequestLimits is the worker's face of the request bounds: a body
+// past the stack's limit answers 413 too_large, which the client rebuilds
+// as the terminal ErrInvalid (resending it cannot succeed), and an execute
+// request listing more jobs than maxExecuteJobs is refused as invalid.
+func TestHTTPRequestLimits(t *testing.T) {
+	srv := NewServer(ServerConfig{})
+	post := func(body io.Reader) (int, httpsvc.ErrorResponse) {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/execute", body))
+		er, _ := httpsvc.DecodeError(w.Body.Bytes())
+		return w.Code, er
+	}
+	body := `{"session":"s","jobs":[` + strings.Repeat("{},", maxExecuteJobs) + `{}]}`
+	status, er := post(strings.NewReader(body))
+	if status != http.StatusBadRequest || er.Code != CodeInvalid || !strings.Contains(er.Error, "jobs") {
+		t.Errorf("execute with %d jobs = %d/%q (%s), want 400/%q naming the job limit",
+			maxExecuteJobs+1, status, er.Code, er.Error, CodeInvalid)
+	}
+
+	// The stack's own limit is exercised in internal/httpsvc; here a body
+	// that trips a (tiny) limit mid-decode stands in for a 64 MiB one.
+	status, er = post(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(`{"session":"s"}`)), 4))
+	if status != http.StatusRequestEntityTooLarge || er.Code != httpsvc.CodeTooLarge {
+		t.Errorf("oversized execute body = %d/%q, want 413/%q", status, er.Code, httpsvc.CodeTooLarge)
+	}
+	if err := NewHTTPWorker("http://w", nil).sentinel(er.Code, errors.New(er.Error)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("client rebuilt %q as %v, want the terminal ErrInvalid", er.Code, err)
+	}
+}
+
 // TestHTTPHealthzAndMetrics: the observability endpoints answer with the
 // worker's session count, admission state and the RED series.
 func TestHTTPHealthzAndMetrics(t *testing.T) {

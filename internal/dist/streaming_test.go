@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -75,10 +74,8 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	if batches != 3 {
 		t.Errorf("stream arrived in %d batches, want 3 (6 jobs, 2 per line)", batches)
 	}
-	a, _ := json.Marshal(want)
-	b, _ := json.Marshal(got)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("streamed outcomes differ from plain execute\nstream: %s\nplain:  %s", b, a)
+	if !bytes.Equal(packOutcomes(nil, got), packOutcomes(nil, want)) {
+		t.Errorf("streamed outcomes differ from plain execute\nstream: %+v\nplain:  %+v", got, want)
 	}
 
 	// Pre-stream validation failures must come back as proper statuses with
@@ -104,7 +101,7 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 
 	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&ExecuteResponse{Outcomes: []*scenario.Outcome{}})
+		json.NewEncoder(w).Encode(&ExecuteResponse{})
 	}))
 	defer legacy.Close()
 	if err := NewHTTPWorker(legacy.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect); err != nil {
@@ -116,7 +113,7 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 
 	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"outcomes":[]}`) // a batch line, then EOF: no done line
+		fmt.Fprintln(w, `{"packed":""}`) // a batch line, then EOF: no done line
 	}))
 	defer cut.Close()
 	err := NewHTTPWorker(cut.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
@@ -136,7 +133,7 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 
 	inband := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"outcomes":[]}`)
+		fmt.Fprintln(w, `{"packed":""}`)
 		fmt.Fprintln(w, `{"error":"session evicted mid-chunk","code":"no_session"}`)
 	}))
 	defer inband.Close()
@@ -223,7 +220,7 @@ func TestHTTPStreamingFlushesPerBatch(t *testing.T) {
 	}()
 	select {
 	case first := <-lines:
-		if len(first.Outcomes) != 1 {
+		if len(first.Packed) != recordSize {
 			t.Fatalf("first line = %+v, want one outcome", first)
 		}
 	case <-time.After(3 * time.Second):
@@ -233,7 +230,7 @@ func TestHTTPStreamingFlushesPerBatch(t *testing.T) {
 	var last StreamChunk
 	n := 1
 	for line := range lines {
-		n += len(line.Outcomes)
+		n += len(line.Packed) / recordSize
 		last = line
 	}
 	if !last.Done || last.N != 3 || n != 3 {

@@ -31,8 +31,10 @@ type Worker interface {
 // contiguous job-order batches as they complete, instead of one response
 // body — the transport face of the streaming partial fold. emit is called
 // serially; its batches concatenate to exactly Execute's result. The
-// coordinator uses it when available and falls back to Execute otherwise,
-// so wrappers and old workers keep working.
+// outcomes change hands with the call, the slice carrying them does not:
+// the worker may reuse it for the next batch. The coordinator uses the
+// streaming face when available and falls back to Execute otherwise, so
+// wrappers and old workers keep working.
 type StreamWorker interface {
 	Worker
 	ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error

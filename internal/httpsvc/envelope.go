@@ -3,6 +3,7 @@ package httpsvc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,7 +15,23 @@ import (
 const (
 	CodeOverloaded = "overloaded"
 	CodeDraining   = "draining"
+	// CodeTooLarge rides on 413: the request body exceeded MaxBodyBytes.
+	CodeTooLarge = "too_large"
 )
+
+// MaxBodyBytes bounds every admitted request body. The largest legitimate
+// one is a deep profile document or the compile request carrying it (about
+// 8 MB); 64 MiB leaves room to grow while keeping what one request can make
+// a daemon buffer finite. Reads past the limit fail with an error that
+// BodyTooLarge recognizes; services answer it with 413 and CodeTooLarge.
+const MaxBodyBytes = 64 << 20
+
+// BodyTooLarge reports whether err, from reading or decoding a request
+// body, is the MaxBodyBytes limit tripping.
+func BodyTooLarge(err error) bool {
+	var tooLarge *http.MaxBytesError
+	return errors.As(err, &tooLarge)
+}
 
 // ErrorResponse is the wire form of a failed request. The code, not the
 // message, is the contract: clients rebuild their sentinel errors from it.

@@ -282,7 +282,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.log.Log(r.Context(), level, "request", attrs...)
 }
 
-// serve is the pre-telemetry handler chain: bypass, admission, deadline.
+// serve is the pre-telemetry handler chain: bypass, admission, deadline,
+// body limit.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, bypass bool) {
 	if bypass {
 		s.mux.ServeHTTP(w, r)
@@ -300,6 +301,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, bypass bool) {
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
 

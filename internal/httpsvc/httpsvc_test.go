@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -468,5 +469,36 @@ func TestStartAndShutdown(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	if _, err := get("http://" + addr.String() + "/v1/quick"); err == nil {
 		t.Error("server still serving after Shutdown")
+	}
+}
+
+// TestRequestBodyBounded: an admitted request's body reads through up to
+// MaxBodyBytes and fails past it with an error BodyTooLarge recognizes —
+// also once a handler has wrapped it — so no request can make a daemon
+// buffer without bound.
+func TestRequestBodyBounded(t *testing.T) {
+	s := New(Config{}, Service{})
+	var (
+		read int64
+		err  error
+	)
+	s.Handle("POST /v1/sink", func(w http.ResponseWriter, r *http.Request) {
+		read, err = io.Copy(io.Discard, r.Body)
+	})
+	post := func(n int64) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/sink", io.LimitReader(testutil.Zeros{}, n))
+		s.ServeHTTP(httptest.NewRecorder(), r)
+	}
+	post(MaxBodyBytes)
+	if err != nil || read != MaxBodyBytes {
+		t.Errorf("body at the limit: read %d bytes, err %v; want all %d", read, err, int64(MaxBodyBytes))
+	}
+	post(MaxBodyBytes + 1)
+	if !BodyTooLarge(err) || !BodyTooLarge(fmt.Errorf("decode: %w", err)) || read != MaxBodyBytes {
+		t.Errorf("body past the limit: read %d bytes, err %v; want the limit error after %d", read, err, int64(MaxBodyBytes))
+	}
+	if BodyTooLarge(nil) || BodyTooLarge(io.ErrUnexpectedEOF) {
+		t.Error("BodyTooLarge matched an unrelated error")
 	}
 }

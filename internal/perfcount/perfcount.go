@@ -41,6 +41,32 @@ type Counters struct {
 	NetWriteBytes float64
 }
 
+// NumFields is the number of counters a Counters value holds.
+const NumFields = 17
+
+// Fields returns the counters as a flat array in declaration order — the
+// one place that order is spelled out for fixed-layout encodings (the
+// distributed outcome record). A field added to Counters must be added here
+// and to SetFields; the layout test fails until it is.
+func (c *Counters) Fields() [NumFields]float64 {
+	return [NumFields]float64{
+		c.Instructions, c.Cycles, c.StalledFront, c.StalledBack, c.FLOPs, c.Threads, c.Processes,
+		c.ReadBytes, c.WriteBytes, c.ReadOps, c.WriteOps,
+		c.AllocBytes, c.FreeBytes, c.RSS, c.PeakRSS,
+		c.NetReadBytes, c.NetWriteBytes,
+	}
+}
+
+// SetFields is the inverse of Fields.
+func (c *Counters) SetFields(f *[NumFields]float64) {
+	*c = Counters{
+		Instructions: f[0], Cycles: f[1], StalledFront: f[2], StalledBack: f[3], FLOPs: f[4], Threads: f[5], Processes: f[6],
+		ReadBytes: f[7], WriteBytes: f[8], ReadOps: f[9], WriteOps: f[10],
+		AllocBytes: f[11], FreeBytes: f[12], RSS: f[13], PeakRSS: f[14],
+		NetReadBytes: f[15], NetWriteBytes: f[16],
+	}
+}
+
 // Add returns c with every cumulative field increased by d's fields. Gauge
 // fields (RSS) take d's value; PeakRSS takes the maximum.
 func (c Counters) Add(d Counters) Counters {

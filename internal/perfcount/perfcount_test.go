@@ -2,6 +2,7 @@ package perfcount
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -146,5 +147,33 @@ func TestAddAssociativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFieldsFollowDeclarationOrder pins Fields/SetFields to the struct: a
+// field added to, removed from or reordered within Counters without the
+// matching edit to both helpers fails here, instead of silently dropping or
+// permuting a counter in every fixed-layout encoding built on them.
+func TestFieldsFollowDeclarationOrder(t *testing.T) {
+	typ := reflect.TypeOf(Counters{})
+	if typ.NumField() != NumFields {
+		t.Fatalf("Counters has %d fields, NumFields = %d: update NumFields, Fields and SetFields together",
+			typ.NumField(), NumFields)
+	}
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < NumFields; i++ {
+		v.Field(i).SetFloat(float64(i + 1))
+	}
+	f := c.Fields()
+	for i, got := range f {
+		if got != float64(i+1) {
+			t.Errorf("Fields()[%d] = %v, want field %s (%v)", i, got, typ.Field(i).Name, i+1)
+		}
+	}
+	var back Counters
+	back.SetFields(&f)
+	if back != c {
+		t.Errorf("SetFields(Fields()) = %+v, want %+v", back, c)
 	}
 }

@@ -36,32 +36,29 @@ type Job struct {
 func (j Job) Load() float64 { return math.Float64frombits(j.LoadBits) }
 
 // Outcome is the fold-relevant product of one replay job: everything the
-// report aggregation consumes, nothing else. It is the wire type of the
-// distributed worker protocol, chosen so that an outcome computed remotely
-// is bit-identical to one computed in process — durations are integer
-// nanoseconds and counters round-trip exactly through JSON — which is what
-// makes the merged report byte-identical to a single-process run.
+// report aggregation consumes, nothing else, as one flat fixed-shape record
+// — no map, no per-outcome heap object. It is the only representation of a
+// replay's result: the executors fill it, the fold reads it, and the
+// distributed worker protocol ships its raw bits (internal/dist packs the
+// fields in this order), so an outcome computed remotely is bit-identical
+// to one computed in process — which is what makes the merged report
+// byte-identical to a single-process run.
 type Outcome struct {
 	// Tx is the instance's emulation (service) time.
-	Tx time.Duration `json:"tx"`
-	// Busy is the per-atom busy time, atoms with zero activity omitted.
-	Busy map[string]time.Duration `json:"busy,omitempty"`
+	Tx time.Duration
+	// Busy is the per-atom busy time, indexed like atomNames.
+	Busy [len(atomNames)]time.Duration
 	// Consumed aggregates what the atoms consumed replaying the instance.
-	Consumed perfcount.Counters `json:"consumed"`
+	Consumed perfcount.Counters
 }
 
-// outcomeOf condenses an emulator report into its fold-relevant outcome.
-func outcomeOf(r *emulator.Report) *Outcome {
-	o := &Outcome{Tx: r.Tx, Consumed: r.Consumed}
-	for _, a := range atomNames {
-		if b := r.BusyTime(a); b > 0 {
-			if o.Busy == nil {
-				o.Busy = make(map[string]time.Duration, len(atomNames))
-			}
-			o.Busy[a] = b
-		}
+// set condenses an emulator report into its fold-relevant outcome.
+func (o *Outcome) set(r *emulator.Report) {
+	o.Tx = r.Tx
+	for ai, a := range atomNames {
+		o.Busy[ai] = r.BusyTime(a)
 	}
-	return o
+	o.Consumed = r.Consumed
 }
 
 // Executor resolves batches of replay jobs. Run calls it once with every
@@ -91,27 +88,6 @@ type StreamingExecutor interface {
 	ExecuteJobsStream(ctx context.Context, jobs []Job, sink func(first int, outs []*Outcome) error) error
 }
 
-// foldRec is the fold-relevant residue of one outcome: exactly the fields
-// assemble reads, flattened (no per-atom map) so a long run retains a
-// compact record per distinct job instead of the wire Outcome. The values
-// are copied verbatim — busy times in atomNames order, counters unchanged —
-// so folding records is byte-identical to folding the outcomes they came
-// from.
-type foldRec struct {
-	tx       time.Duration
-	busy     [len(atomNames)]time.Duration
-	consumed perfcount.Counters
-}
-
-// set condenses an outcome into the record.
-func (r *foldRec) set(o *Outcome) {
-	r.tx = o.Tx
-	for ai, a := range atomNames {
-		r.busy[ai] = o.Busy[a]
-	}
-	r.consumed = o.Consumed
-}
-
 // localExecutor resolves jobs against this process's compiled run handles,
 // fanning the batch across the configured workers.
 type localExecutor struct {
@@ -119,16 +95,22 @@ type localExecutor struct {
 	workers int
 }
 
+// ExecuteJobs resolves the batch into one slab of outcomes and hands out
+// pointers into it: one allocation per call, not one per job.
 func (e localExecutor) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
+	slab := make([]Outcome, len(jobs))
 	return exp.Fan(e.workers, len(jobs), nil, func(j int) (*Outcome, error) {
-		return e.executeJob(ctx, jobs[j])
+		if err := e.executeJob(ctx, jobs[j], &slab[j]); err != nil {
+			return nil, err
+		}
+		return &slab[j], nil
 	})
 }
 
-// executeJob resolves one job against the compiled run handles.
-func (e localExecutor) executeJob(ctx context.Context, job Job) (*Outcome, error) {
+// executeJob resolves one job against the compiled run handles into o.
+func (e localExecutor) executeJob(ctx context.Context, job Job, o *Outcome) error {
 	if job.Workload < 0 || job.Workload >= len(e.c.wls) {
-		return nil, fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
+		return fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
 	}
 	ws := e.c.wls[job.Workload]
 	run := ws.run
@@ -136,14 +118,15 @@ func (e localExecutor) executeJob(ctx context.Context, job Job) (*Outcome, error
 		run = ws.runs[job.Machine]
 	}
 	if run == nil {
-		return nil, fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
+		return fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
 			ws.spec.Name, job.Machine)
 	}
 	rep, err := run.EmulateWithLoad(ctx, job.Load())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return outcomeOf(rep), nil
+	o.set(rep)
+	return nil
 }
 
 // ResolveProfiles resolves every workload's profile reference through st,
@@ -229,17 +212,17 @@ func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int
 	local := localExecutor{c: r.c, workers: workers}
 	var (
 		mu   sync.Mutex
-		outs = make([]*Outcome, len(jobs)) // reorder buffer; entries nil once emitted
+		slab = make([]Outcome, len(jobs))  // every outcome of the call, one allocation
+		outs = make([]*Outcome, len(jobs)) // reorder buffer into slab; nil until done and once emitted
 		next int                           // emission watermark
 	)
 	_, err := exp.Fan(workers, len(jobs), nil, func(j int) (struct{}, error) {
-		o, err := local.executeJob(ctx, jobs[j])
-		if err != nil {
+		if err := local.executeJob(ctx, jobs[j], &slab[j]); err != nil {
 			return struct{}{}, err
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		outs[j] = o
+		outs[j] = &slab[j]
 		// Emit the contiguous prefix once it is a full batch deep. Holding
 		// mu serializes emit; the tail below flushes what remains.
 		end := next

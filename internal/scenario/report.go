@@ -170,11 +170,11 @@ func (r *reporter) Observe(t time.Duration, ev any) {
 	}
 }
 
-// assemble folds the instance outcomes (condensed to foldRecs) into the
-// report, in spec order — every sum runs in deterministic instance order,
-// so reports are byte-identical across runs, worker counts, and executors
-// (records are keyed by instance, never by who computed them).
-func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
+// assemble folds the instance outcomes into the report, in spec order —
+// every sum runs in deterministic instance order, so reports are
+// byte-identical across runs, worker counts, and executors (outcomes are
+// keyed by instance, never by who computed them).
+func assemble(c *compiled, rp *reporter, recs []*Outcome) *Report {
 	makespan := rp.makespan
 	rep := &Report{
 		Scenario:   c.spec.Name,
@@ -219,9 +219,9 @@ func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
 			service = append(service, float64(in.tx))
 			rec := recs[id]
 			for ai := range atomNames {
-				busy[ai] += rec.busy[ai]
+				busy[ai] += rec.Busy[ai]
 			}
-			wr.Consumed.Accumulate(&rec.consumed)
+			wr.Consumed.Accumulate(&rec.Consumed)
 		}
 		if secs := makespan.Seconds(); secs > 0 {
 			wr.Throughput = float64(wr.Emulations) / secs

@@ -130,13 +130,12 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	// the scheduler resolves each instant's placements as a batch, fanned
 	// across the workers, memoized on (workload, node machine, load).
 	//
-	// Either way, each distinct job's outcome is condensed into a compact
-	// foldRec the moment it arrives — the wire Outcome (and, through the
-	// StreamingExecutor seam, the executor's own buffers) is released long
-	// before the fold, so a run retains one flat record per replay, not
-	// one decoded response per shard.
-	recs := make([]*foldRec, len(c.insts))
-	memo := make(map[jobKey]*foldRec)
+	// Either way the delivered outcome is the fold record: Run keeps the
+	// pointer the executor handed over (ownership transfers with it) and
+	// the fold reads it in place, so a run retains one flat record per
+	// replay and copies none.
+	recs := make([]*Outcome, len(c.insts))
+	memo := make(map[jobKey]*Outcome)
 	replays := 0
 	var resolve resolver
 	if c.cl == nil {
@@ -153,12 +152,13 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 			}
 			jobIdx[i] = j
 		}
-		jobRecs := make([]foldRec, len(jobs))
+		var jobOuts []*Outcome
 		if se, ok := exec.(StreamingExecutor); ok {
 			// Streaming fold: contiguous job-order batches arrive as the
-			// executor completes them; each is folded to records in place
-			// and the outcomes dropped, so peak resident outcomes follow
-			// the executor's window, not the job count.
+			// executor completes them and only the pointers are kept, so
+			// the executor's own buffers follow its window, not the job
+			// count.
+			jobOuts = make([]*Outcome, len(jobs))
 			folded := 0
 			err := se.ExecuteJobsStream(ctx, jobs, func(first int, outs []*Outcome) error {
 				if first != folded {
@@ -167,13 +167,7 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				if first+len(outs) > len(jobs) {
 					return fmt.Errorf("scenario: executor streamed %d outcomes past %d jobs", first+len(outs), len(jobs))
 				}
-				for k, o := range outs {
-					if o == nil {
-						return fmt.Errorf("scenario: executor streamed nil outcome for job %d", first+k)
-					}
-					jobRecs[first+k].set(o)
-				}
-				folded += len(outs)
+				folded += copy(jobOuts[first:], outs)
 				return nil
 			})
 			if err != nil {
@@ -183,20 +177,17 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				return nil, fmt.Errorf("scenario: executor streamed %d outcomes for %d jobs", folded, len(jobs))
 			}
 		} else {
-			jobOuts, err := exec.ExecuteJobs(ctx, jobs)
+			jobOuts, err = exec.ExecuteJobs(ctx, jobs)
 			if err != nil {
 				return nil, err
 			}
-			if err := checkOuts(jobs, jobOuts); err != nil {
-				return nil, err
-			}
-			for j, o := range jobOuts {
-				jobRecs[j].set(o)
-			}
+		}
+		if err := checkOuts(jobs, jobOuts); err != nil {
+			return nil, err
 		}
 		for i := range c.insts {
-			recs[i] = &jobRecs[jobIdx[i]]
-			c.insts[i].tx = recs[i].tx
+			recs[i] = jobOuts[jobIdx[i]]
+			c.insts[i].tx = recs[i].Tx
 		}
 		replays = len(jobs)
 	} else {
@@ -224,17 +215,15 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				if err := checkOuts(jobs, reps); err != nil {
 					return err
 				}
-				batch := make([]foldRec, len(jobs))
 				for j, k := range keys {
-					batch[j].set(reps[j])
-					memo[k] = &batch[j]
+					memo[k] = reps[j]
 				}
 			}
 			for _, id := range placed {
 				in := c.insts[id]
 				rec := memo[key(in)]
 				recs[id] = rec
-				in.tx = rec.tx
+				in.tx = rec.Tx
 			}
 			return nil
 		}

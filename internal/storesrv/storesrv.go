@@ -204,14 +204,15 @@ func (s *Server) bump(key string) uint64 {
 func (s *Server) etagFor(gen uint64) string { return fmt.Sprintf(`"%s-g%d"`, s.epoch, gen) }
 
 // requestBody returns the request body, transparently gunzipping when the
-// client sent Content-Encoding: gzip.
+// client sent Content-Encoding: gzip. The stack bounds the bytes on the
+// wire; the same bound applies again to what they inflate to.
 func requestBody(r *http.Request) (io.ReadCloser, error) {
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
 		zr, err := gzip.NewReader(r.Body)
 		if err != nil {
 			return nil, fmt.Errorf("bad gzip body: %w", err)
 		}
-		return zr, nil
+		return http.MaxBytesReader(nil, zr, httpsvc.MaxBodyBytes), nil
 	}
 	return r.Body, nil
 }
@@ -250,8 +251,14 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, r, status, httpsvc.ErrorResponse{Error: err.Error(), Code: code})
 }
 
+// writeBadRequest answers a request whose body could not be read or
+// decoded: 413 too_large when the stack's body limit tripped, else 400.
 func writeBadRequest(w http.ResponseWriter, r *http.Request, err error) {
-	writeJSON(w, r, http.StatusBadRequest, httpsvc.ErrorResponse{Error: err.Error(), Code: CodeInvalid})
+	status, code := http.StatusBadRequest, CodeInvalid
+	if httpsvc.BodyTooLarge(err) {
+		status, code = http.StatusRequestEntityTooLarge, httpsvc.CodeTooLarge
+	}
+	writeJSON(w, r, status, httpsvc.ErrorResponse{Error: err.Error(), Code: code})
 }
 
 // decodeProfile reads one profile from the (possibly gzipped) request body.

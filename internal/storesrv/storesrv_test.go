@@ -190,6 +190,40 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIsTooLarge is storesrv's face of the stack's body limit
+// (exercised itself in internal/httpsvc): a body read that trips a limit
+// answers 413 with the too_large code, and a small gzip body is held to the
+// same httpsvc.MaxBodyBytes once inflated instead of being buffered whole.
+func TestOversizedBodyIsTooLarge(t *testing.T) {
+	s, _ := newServer(t)
+	check := func(name string, req *http.Request) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		var er httpsvc.ErrorResponse
+		_ = json.Unmarshal(w.Body.Bytes(), &er)
+		if w.Code != http.StatusRequestEntityTooLarge || er.Code != httpsvc.CodeTooLarge {
+			t.Errorf("%s: oversized body = %d/%q, want 413/%q", name, w.Code, er.Code, httpsvc.CodeTooLarge)
+		}
+	}
+	// A tiny limit tripping mid-read stands in for the 64 MiB one.
+	capped := http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(`{"command":"mdsim"}`)), 4)
+	check("capped body", httptest.NewRequest(http.MethodPut, "/v1/profiles", capped))
+
+	if testing.Short() {
+		return // the bomb inflates to 64 MiB
+	}
+	var bomb bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&bomb, gzip.BestSpeed)
+	if _, err := io.CopyN(zw, testutil.Zeros{}, httpsvc.MaxBodyBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	req := httptest.NewRequest(http.MethodPut, "/v1/profiles", &bomb)
+	req.Header.Set("Content-Encoding", "gzip")
+	check("gzip bomb", req)
+}
+
 func TestPutTruncateQuery(t *testing.T) {
 	s := New(store.NewShardedWithLimit(2, 4096), Config{})
 	big := storetest.MkProfile("big", nil, 100)
