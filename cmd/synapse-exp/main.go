@@ -14,10 +14,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"synapse/internal/exp"
@@ -28,25 +30,28 @@ func main() {
 	// The body lives in run so its defers — which flush the pprof
 	// profiles — execute on error paths too; os.Exit happens only here,
 	// after everything is written.
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "synapse-exp:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	quick := flag.Bool("quick", false, "reduced sizes and repetitions")
-	out := flag.String("out", "", "directory for .txt/.csv exports (optional)")
-	reps := flag.Int("reps", 0, "repetitions for error bars (0 = default)")
-	only := flag.String("only", "", "run only the experiment with this ID (e.g. fig7)")
-	workers := flag.Int("workers", 0, "parallel figure-cell workers (0 = all cores, 1 = serial)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	blockprofile := flag.String("blockprofile", "", "write a pprof block profile to this file")
-	version := flag.Bool("version", false, "print version and build information, then exit")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("synapse-exp", flag.ExitOnError)
+	quick := fs.Bool("quick", false, "reduced sizes and repetitions")
+	out := fs.String("out", "", "directory for .txt/.csv exports (optional)")
+	reps := fs.Int("reps", 0, "repetitions for error bars (0 = default)")
+	only := fs.String("only", "", "print and export only the experiment with this ID (e.g. fig7)")
+	workers := fs.Int("workers", 0, "parallel figure-cell workers (0 = all cores, 1 = serial)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	blockprofile := fs.String("blockprofile", "", "write a pprof block profile to this file")
+	version := fs.Bool("version", false, "print version and build information, then exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *version {
-		telemetry.PrintVersion(os.Stdout, "synapse-exp")
+		telemetry.PrintVersion(stdout, "synapse-exp")
 		return nil
 	}
 
@@ -101,18 +106,27 @@ func run() error {
 		return err
 	}
 
+	printed := 0
 	for _, t := range tables {
 		if *only != "" && t.ID != *only {
 			continue
 		}
-		fmt.Println(t.String())
+		printed++
+		fmt.Fprintln(stdout, t.String())
 		if *out != "" {
 			if err := export(*out, t); err != nil {
 				return err
 			}
 		}
 	}
-	fmt.Printf("regenerated %d artifacts in %.1fs wall time\n", len(tables), time.Since(start).Seconds())
+	if printed == 0 {
+		ids := make([]string, len(tables))
+		for i, t := range tables {
+			ids[i] = t.ID
+		}
+		return fmt.Errorf("-only %q matches no experiment (have %s)", *only, strings.Join(ids, ", "))
+	}
+	fmt.Fprintf(stdout, "regenerated %d artifacts in %.1fs wall time\n", len(tables), time.Since(start).Seconds())
 	return nil
 }
 

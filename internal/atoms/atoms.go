@@ -185,32 +185,37 @@ func (a *SimCompute) Consume(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return a.consume(req), nil
+	var res Result
+	res.Dur = a.model(&req, &res.Consumed)
+	return res, nil
 }
 
 // ConsumeBatch implements BatchConsumer: the whole run of requests is modeled
 // with one context check and no per-sample interface dispatch.
-func (a *SimCompute) ConsumeBatch(ctx context.Context, reqs []Request, out []Result) error {
+func (a *SimCompute) ConsumeBatch(ctx context.Context, reqs []Request, durs []time.Duration, dst []*perfcount.Counters) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i := range reqs {
-		out[i] = a.consume(reqs[i])
+		durs[i] = a.model(&reqs[i], dst[i])
 	}
 	return nil
 }
 
-// consume is the atom's model, shared by the per-sample and batched paths so
-// both produce bit-identical results.
-func (a *SimCompute) consume(req Request) Result {
+// model is the atom's one model, shared by Consume and ConsumeBatch so the
+// two cannot drift: it returns the modeled duration and adds what was
+// consumed into the fields the compute atom owns (Cycles, Instructions,
+// FLOPs) of dst.
+func (a *SimCompute) model(req *Request, dst *perfcount.Counters) time.Duration {
 	if req.Cycles <= 0 && req.FLOPs <= 0 {
-		return Result{}
+		return 0
 	}
 	// Discount work already performed beyond earlier targets.
 	target := req.Cycles - a.surplus
 	if target <= 0 {
 		a.surplus -= req.Cycles
-		return Result{Consumed: perfcount.Counters{FLOPs: req.FLOPs}}
+		dst.FLOPs += req.FLOPs
+		return 0
 	}
 	chunk := a.kp.Chunk()
 	chunks := math.Ceil(target / chunk)
@@ -228,12 +233,13 @@ func (a *SimCompute) consume(req Request) Result {
 		// cost is accounted by the emulator's startup, not per sample.
 		dur = a.cfg.Machine.Threading.ScaleWork(dur, a.cfg.Workers, a.cfg.Machine.Cores, a.cfg.Mode)
 	}
-	c := perfcount.Counters{
-		Cycles:       consumed,
-		Instructions: consumed * a.kp.IPC,
-		FLOPs:        req.FLOPs,
-	}
-	return Result{Dur: dur, Consumed: c}
+	dst.Cycles += consumed
+	// The conversion rounds the product before the add: without it the
+	// compiler may fuse the two into one FMA on architectures that have it,
+	// and the total would no longer be the sum of the per-sample values.
+	dst.Instructions += float64(consumed * a.kp.IPC)
+	dst.FLOPs += req.FLOPs
+	return dur
 }
 
 // SimStorage models the storage atom: block-granular reads and writes
@@ -268,24 +274,27 @@ func (a *SimStorage) Consume(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return a.consume(req), nil
+	var res Result
+	res.Dur = a.model(&req, &res.Consumed)
+	return res, nil
 }
 
 // ConsumeBatch implements BatchConsumer.
-func (a *SimStorage) ConsumeBatch(ctx context.Context, reqs []Request, out []Result) error {
+func (a *SimStorage) ConsumeBatch(ctx context.Context, reqs []Request, durs []time.Duration, dst []*perfcount.Counters) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i := range reqs {
-		out[i] = a.consume(reqs[i])
+		durs[i] = a.model(&reqs[i], dst[i])
 	}
 	return nil
 }
 
-// consume is the atom's model, shared by the per-sample and batched paths.
-func (a *SimStorage) consume(req Request) Result {
+// model is the atom's one model, shared by Consume and ConsumeBatch; it
+// owns ReadBytes, WriteBytes, ReadOps and WriteOps.
+func (a *SimStorage) model(req *Request, dst *perfcount.Counters) time.Duration {
 	if req.ReadBytes <= 0 && req.WriteBytes <= 0 {
-		return Result{}
+		return 0
 	}
 	rb := a.blockFor(req.ReadBytes, req.ReadOps, a.cfg.readBlock())
 	wb := a.blockFor(req.WriteBytes, req.WriteOps, a.cfg.writeBlock())
@@ -293,17 +302,15 @@ func (a *SimStorage) consume(req Request) Result {
 	if a.cfg.DiskLoad > 0 {
 		dur = time.Duration(float64(dur) / (1 - a.cfg.DiskLoad))
 	}
-	c := perfcount.Counters{
-		ReadBytes:  req.ReadBytes,
-		WriteBytes: req.WriteBytes,
-	}
+	dst.ReadBytes += req.ReadBytes
+	dst.WriteBytes += req.WriteBytes
 	if req.ReadBytes > 0 && rb > 0 {
-		c.ReadOps = math.Ceil(req.ReadBytes / float64(rb))
+		dst.ReadOps += math.Ceil(req.ReadBytes / float64(rb))
 	}
 	if req.WriteBytes > 0 && wb > 0 {
-		c.WriteOps = math.Ceil(req.WriteBytes / float64(wb))
+		dst.WriteOps += math.Ceil(req.WriteBytes / float64(wb))
 	}
-	return Result{Dur: dur, Consumed: c}
+	return dur
 }
 
 // SimMemory models the memory atom (malloc/free traffic).
@@ -322,34 +329,36 @@ func (a *SimMemory) Consume(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return a.consume(req), nil
+	var res Result
+	res.Dur = a.model(&req, &res.Consumed)
+	return res, nil
 }
 
 // ConsumeBatch implements BatchConsumer.
-func (a *SimMemory) ConsumeBatch(ctx context.Context, reqs []Request, out []Result) error {
+func (a *SimMemory) ConsumeBatch(ctx context.Context, reqs []Request, durs []time.Duration, dst []*perfcount.Counters) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i := range reqs {
-		out[i] = a.consume(reqs[i])
+		durs[i] = a.model(&reqs[i], dst[i])
 	}
 	return nil
 }
 
-// consume is the atom's model, shared by the per-sample and batched paths.
-func (a *SimMemory) consume(req Request) Result {
+// model is the atom's one model, shared by Consume and ConsumeBatch; it
+// owns AllocBytes and FreeBytes.
+func (a *SimMemory) model(req *Request, dst *perfcount.Counters) time.Duration {
 	total := req.AllocBytes + req.FreeBytes
 	if total <= 0 {
-		return Result{}
+		return 0
 	}
 	dur := a.cfg.Machine.MemTime(int64(total))
 	if a.cfg.MemLoad > 0 {
 		dur = time.Duration(float64(dur) / (1 - a.cfg.MemLoad))
 	}
-	return Result{
-		Dur:      dur,
-		Consumed: perfcount.Counters{AllocBytes: req.AllocBytes, FreeBytes: req.FreeBytes},
-	}
+	dst.AllocBytes += req.AllocBytes
+	dst.FreeBytes += req.FreeBytes
+	return dur
 }
 
 // SimNetwork models the network atom.
@@ -368,31 +377,32 @@ func (a *SimNetwork) Consume(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return a.consume(req), nil
+	var res Result
+	res.Dur = a.model(&req, &res.Consumed)
+	return res, nil
 }
 
 // ConsumeBatch implements BatchConsumer.
-func (a *SimNetwork) ConsumeBatch(ctx context.Context, reqs []Request, out []Result) error {
+func (a *SimNetwork) ConsumeBatch(ctx context.Context, reqs []Request, durs []time.Duration, dst []*perfcount.Counters) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i := range reqs {
-		out[i] = a.consume(reqs[i])
+		durs[i] = a.model(&reqs[i], dst[i])
 	}
 	return nil
 }
 
-// consume is the atom's model, shared by the per-sample and batched paths.
-func (a *SimNetwork) consume(req Request) Result {
+// model is the atom's one model, shared by Consume and ConsumeBatch; it
+// owns NetReadBytes and NetWriteBytes.
+func (a *SimNetwork) model(req *Request, dst *perfcount.Counters) time.Duration {
 	total := req.NetReadBytes + req.NetWriteBytes
 	if total <= 0 {
-		return Result{}
+		return 0
 	}
-	dur := a.cfg.Machine.NetTime(int64(total), a.cfg.NetBlock)
-	return Result{
-		Dur:      dur,
-		Consumed: perfcount.Counters{NetReadBytes: req.NetReadBytes, NetWriteBytes: req.NetWriteBytes},
-	}
+	dst.NetReadBytes += req.NetReadBytes
+	dst.NetWriteBytes += req.NetWriteBytes
+	return a.cfg.Machine.NetTime(int64(total), a.cfg.NetBlock)
 }
 
 // Reset clears the cross-sample surplus, restoring the just-built state.

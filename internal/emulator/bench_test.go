@@ -20,16 +20,16 @@ func benchReplay(b *testing.B, p *profile.Profile, serial bool, level TraceLevel
 	m := machine.MustGet(machine.Thinkie)
 	opts := Options{
 		Atoms:      atoms.Config{Machine: m},
-		Serial:     serial,
 		TraceLevel: level,
 	}
+	emulate := replayVia(serial)
 	// Warm the columnar cache so steady-state replay is measured (the
 	// paper's experiments replay each profile many times).
 	p.Columns()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Emulate(context.Background(), p, opts); err != nil {
+		if _, err := emulate(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,9 +39,9 @@ func benchReplay(b *testing.B, p *profile.Profile, serial bool, level TraceLevel
 	}
 }
 
-// BenchmarkReplaySimulated is the pre-PR serial loop: per-sample metric-map
-// lookups, four interface-dispatched Consume calls and fresh span slices on
-// every sample.
+// BenchmarkReplaySimulated is the per-sample reference loop (the test
+// oracle): per-sample metric-map lookups, four interface-dispatched Consume
+// calls and fresh span slices on every sample.
 func BenchmarkReplaySimulated(b *testing.B) {
 	benchReplay(b, benchReplayProfile(benchReplaySamples), true, TraceFull)
 }

@@ -77,13 +77,6 @@ type Options struct {
 	DisableNetwork bool
 	// TraceLevel tunes per-sample detail retention (TraceFull default).
 	TraceLevel TraceLevel
-	// Serial forces the legacy per-sample replay loop in simulated mode.
-	// The default batched path reads the profile's columnar view and
-	// feeds runs of samples through the atoms' ConsumeBatch fast path;
-	// both produce bit-identical reports (see the equivalence tests).
-	// Serial is kept as the reference implementation and the benchmark
-	// baseline.
-	Serial bool
 }
 
 // AtomSpan is one atom's activity within one replayed sample.
@@ -129,10 +122,10 @@ type Report struct {
 	// Trace on first SampleDurations call; Trace[i].Dur is the canonical
 	// source at TraceFull, so the two are never stored redundantly.
 	durations []time.Duration
-	// busy is the per-atom busy time, accumulated in a single pass while
-	// the samples replay (it used to be rescanned from the trace on every
-	// BusyTime call, O(samples × atoms) per query).
-	busy map[string]time.Duration
+	// busy is the per-atom busy time, indexed like AtomNames, accumulated
+	// while the samples replay: a fixed array inside the report, so
+	// recording it costs no allocation and reading it no hashing.
+	busy [len(AtomNames)]time.Duration
 }
 
 // SampleDurations returns each sample's replay duration, in order. At
@@ -149,12 +142,42 @@ func (r *Report) SampleDurations() []time.Duration {
 	return r.durations
 }
 
+// AtomNames lists the emulation atoms in the index order of BusyTimes
+// (alphabetical — the order scenario outcomes and their wire form carry).
+var AtomNames = [...]string{"compute", "memory", "network", "storage"}
+
+// atomIndex returns name's position in AtomNames, or -1.
+func atomIndex(name string) int {
+	for i, a := range AtomNames {
+		if a == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// BusyTimes returns every atom's busy time at once, indexed like AtomNames:
+// BusyTime without the per-name lookups, for callers that keep all four.
+func (r *Report) BusyTimes() [len(AtomNames)]time.Duration {
+	busy := r.busy
+	if busy == [len(AtomNames)]time.Duration{} {
+		for i, a := range AtomNames {
+			busy[i] = r.BusyTime(a)
+		}
+	}
+	return busy
+}
+
 // BusyTime returns the total time the named atom was active across samples.
-// The per-atom totals are precomputed during the replay; reports assembled
-// by hand fall back to scanning the trace.
+// The per-atom totals are accumulated during the replay; reports assembled
+// by hand carry none and fall back to scanning the trace (for a replayed
+// report whose totals are all zero the scan finds no span either).
 func (r *Report) BusyTime(atom string) time.Duration {
-	if r.busy != nil {
-		return r.busy[atom]
+	if r.busy != [len(AtomNames)]time.Duration{} {
+		if i := atomIndex(atom); i >= 0 {
+			return r.busy[i]
+		}
+		return 0
 	}
 	var total time.Duration
 	for _, st := range r.Trace {
@@ -203,7 +226,7 @@ func RequestFromSample(s profile.Sample) atoms.Request {
 	}
 }
 
-// dupFactor is the MPI duplication rule shared by the serial and batched
+// dupFactor is the MPI duplication rule shared by the per-sample and batched
 // request builders: multi-processing duplicates non-compute resource usage
 // across ranks, multi-threading shares it (paper §5 E.4).
 func dupFactor(cfg *atoms.Config) float64 {
@@ -249,7 +272,9 @@ func Emulate(ctx context.Context, p *profile.Profile, opts Options) (*Report, er
 // timeline or the bare duration according to the trace level.
 func (r *Report) record(level TraceLevel, i int, start time.Duration, spans []AtomSpan, dur time.Duration, consumed perfcount.Counters) {
 	for _, sp := range spans {
-		r.busy[sp.Atom] += sp.Dur
+		if ai := atomIndex(sp.Atom); ai >= 0 {
+			r.busy[ai] += sp.Dur
+		}
 	}
 	switch level {
 	case TraceFull:
@@ -263,46 +288,26 @@ func (r *Report) record(level TraceLevel, i int, start time.Duration, spans []At
 	r.Samples++
 }
 
-// replaySerial is the legacy per-sample loop: four interface-dispatched
-// Consume calls and a fresh span slice per sample. It is retained as the
-// reference implementation the batched path must match bit-for-bit, and as
-// the baseline for the replay benchmarks.
-func replaySerial(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg *atoms.Config, level TraceLevel, overhead time.Duration, clk clock.Clock, rep *Report) (time.Duration, error) {
-	var cursor time.Duration
-	for i, s := range p.Samples {
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		default:
-		}
-		req := RequestFromSample(s)
-		spans, dur, consumed, err := replaySample(ctx, set, req, cfg)
-		if err != nil {
-			return 0, err
-		}
-		dur += overhead
-		rep.record(level, i, cursor, spans, dur, consumed)
-		cursor += dur
-		clk.Sleep(dur)
-	}
-	return cursor, nil
-}
-
 // replayBatchSize bounds the working set of the batched replay: requests and
-// results are staged in fixed buffers of this many samples, so memory stays
+// durations are staged in fixed buffers of this many samples, so memory stays
 // flat no matter how long the profile is while per-sample dispatch overhead
 // is amortized away.
 const replayBatchSize = 1024
 
-// replayBatched is the simulated fast path: it reads the profile's columnar
+// replayBatched is the simulated replay loop: it reads the profile's columnar
 // view, materializes atom requests batch-by-batch, and feeds each atom a
-// whole run of samples through its ConsumeBatch fast path. All buffers are
+// whole run of samples through its ConsumeBatch fast path. The atoms write
+// one duration per sample into the staging buffer and add what they consumed
+// straight into its destination — the run total (rep.Consumed) when no
+// per-sample consumption is kept, the sample's own SampleTrace.Consumed at
+// TraceFull — so the fold is only the per-sample barrier (max over the
+// atoms' durations), the busy totals and the cursor. All buffers are
 // preallocated; per sample it performs no map lookups, no interface
 // dispatch, and (at TraceNone/TraceDurations) no allocations. The produced
-// report is bit-identical to replaySerial's. A non-nil sc (whose set is
-// the set argument) lends its staging buffers, so pooled replays do not
-// reallocate them; a nil sc allocates per call.
-func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg *atoms.Config, level TraceLevel, overhead time.Duration, clk clock.Clock, rep *Report, sc *replayScratch) (time.Duration, error) {
+// report is bit-identical to the per-sample reference loop the equivalence
+// tests keep (see atoms.BatchConsumer for why). sc, whose set the atoms are,
+// lends the staging buffers, so pooled replays do not reallocate them.
+func replayBatched(ctx context.Context, p *profile.Profile, level TraceLevel, overhead time.Duration, clk clock.Clock, rep *Report, sc *replayScratch) (time.Duration, error) {
 	cols := p.Columns()
 	n := cols.N
 	if n == 0 {
@@ -310,52 +315,32 @@ func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cf
 	}
 	// The MPI duplication rule of splitRequest, applied once while
 	// materializing requests.
-	dup := dupFactor(cfg)
+	dup := dupFactor(&sc.cfg)
 
 	bs := replayBatchSize
 	if n < bs {
 		bs = n
 	}
-	var reqs []atoms.Request
-	var results []atoms.Result
-	var busy []time.Duration
-	var names []string
-	if sc != nil {
-		if cap(sc.reqs) < bs {
-			sc.reqs = make([]atoms.Request, bs)
-			sc.results = make([]atoms.Result, len(set)*bs)
-		}
-		if cap(sc.busy) < len(set) {
-			sc.busy = make([]time.Duration, len(set))
-		}
-		reqs = sc.reqs[:bs]
-		results = sc.results[:len(set)*bs]
-		busy = sc.busy[:len(set)]
-		for ai := range busy {
-			busy[ai] = 0
-		}
-		names = sc.names
-	} else {
-		reqs = make([]atoms.Request, bs)
-		results = make([]atoms.Result, len(set)*bs)
-		busy = make([]time.Duration, len(set))
-		names = make([]string, len(set))
-		for ai, a := range set {
-			names[ai] = a.Name()
-		}
-	}
+	set := sc.set
+	reqs, durs, dst := sc.stage(bs)
 
 	// Span storage for the full trace is carved out of one growing arena;
 	// most samples exercise one or two atoms, so 2N is a generous start.
 	var spanArena []AtomSpan
 	switch level {
 	case TraceFull:
-		rep.Trace = make([]SampleTrace, 0, n)
+		rep.Trace = make([]SampleTrace, n)
 		spanArena = make([]AtomSpan, 0, 2*n)
 	case TraceDurations:
 		rep.durations = make([]time.Duration, 0, n)
 	}
+	if level != TraceFull {
+		for i := range dst {
+			dst[i] = &rep.Consumed
+		}
+	}
 
+	var busy [len(AtomNames)]time.Duration // by position in set
 	var cursor time.Duration
 	for lo := 0; lo < n; lo += bs {
 		hi := lo + bs
@@ -366,74 +351,75 @@ func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cf
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		// Gather: contiguous column reads into request structs.
+		// Gather: contiguous column reads into the staged requests, field
+		// by field in place (a composite literal is built aside and then
+		// copied in, 80 bytes per sample).
 		for i := 0; i < m; i++ {
 			j := lo + i
-			reqs[i] = atoms.Request{
-				Cycles:        cols.Cycles[j],
-				FLOPs:         cols.FLOPs[j],
-				ReadBytes:     cols.ReadBytes[j] * dup,
-				WriteBytes:    cols.WriteBytes[j] * dup,
-				ReadOps:       cols.ReadOps[j] * dup,
-				WriteOps:      cols.WriteOps[j] * dup,
-				AllocBytes:    cols.AllocBytes[j] * dup,
-				FreeBytes:     cols.FreeBytes[j] * dup,
-				NetReadBytes:  cols.NetReadBytes[j] * dup,
-				NetWriteBytes: cols.NetWriteBytes[j] * dup,
+			r := &reqs[i]
+			r.Cycles = cols.Cycles[j]
+			r.FLOPs = cols.FLOPs[j]
+			r.ReadBytes = cols.ReadBytes[j] * dup
+			r.WriteBytes = cols.WriteBytes[j] * dup
+			r.ReadOps = cols.ReadOps[j] * dup
+			r.WriteOps = cols.WriteOps[j] * dup
+			r.AllocBytes = cols.AllocBytes[j] * dup
+			r.FreeBytes = cols.FreeBytes[j] * dup
+			r.NetReadBytes = cols.NetReadBytes[j] * dup
+			r.NetWriteBytes = cols.NetWriteBytes[j] * dup
+		}
+		if level == TraceFull {
+			for i := 0; i < m; i++ {
+				dst[i] = &rep.Trace[lo+i].Consumed
 			}
 		}
 		// Consume: one batch call per atom. Every atom reads only its own
 		// resource's fields, so the same request slice serves all of them
 		// (splitRequest's field selection, without the copies).
 		for ai, a := range set {
-			if err := atoms.ConsumeBatch(ctx, a, reqs[:m], results[ai*bs:ai*bs+m]); err != nil {
+			if err := atoms.ConsumeBatch(ctx, a, reqs[:m], durs[ai*bs:ai*bs+m], dst[:m]); err != nil {
 				return 0, err
 			}
 		}
-		// Fold: per-sample barrier (max over atoms) and consumption, in
-		// the same atom order as the serial loop so float sums match.
+		// Fold: the per-sample barrier (max over the atoms' durations), the
+		// busy totals and the cursor; the trace levels add their record.
 		for i := 0; i < m; i++ {
 			var max time.Duration
-			var consumed perfcount.Counters
-			spanLo := len(spanArena)
 			for ai := range set {
-				res := &results[ai*bs+i]
-				if res.Dur > max {
-					max = res.Dur
-				}
-				if res.Dur > 0 {
-					busy[ai] += res.Dur
-					if level == TraceFull {
-						spanArena = append(spanArena, AtomSpan{Atom: names[ai], Dur: res.Dur})
+				if d := durs[ai*bs+i]; d > 0 {
+					busy[ai] += d
+					if d > max {
+						max = d
 					}
 				}
-				consumed.Accumulate(&res.Consumed)
 			}
 			dur := max + overhead
 			switch level {
 			case TraceFull:
-				var spans []AtomSpan
-				if spanHi := len(spanArena); spanHi > spanLo {
-					spans = spanArena[spanLo:spanHi:spanHi]
+				st := &rep.Trace[lo+i]
+				st.Index, st.Start, st.Dur = lo+i, cursor, dur
+				spanLo := len(spanArena)
+				for ai := range set {
+					if d := durs[ai*bs+i]; d > 0 {
+						spanArena = append(spanArena, AtomSpan{Atom: sc.names[ai], Dur: d})
+					}
 				}
-				rep.Trace = append(rep.Trace, SampleTrace{
-					Index: lo + i, Start: cursor, Spans: spans, Dur: dur, Consumed: consumed,
-				})
+				if spanHi := len(spanArena); spanHi > spanLo {
+					st.Spans = spanArena[spanLo:spanHi:spanHi]
+				}
+				rep.Consumed.Accumulate(&st.Consumed)
 			case TraceDurations:
 				rep.durations = append(rep.durations, dur)
 			}
 			cursor += dur
-			rep.Consumed.Accumulate(&consumed)
-			rep.Samples++
 		}
+		rep.Samples += m
 	}
-	for ai := range set {
-		if busy[ai] > 0 {
-			rep.busy[names[ai]] += busy[ai]
-		}
+	for ai, name := range sc.names {
+		rep.busy[atomIndex(name)] += busy[ai]
 	}
 	// One sleep for the whole replay: the simulated clock lands on the
-	// same instant as the serial loop's per-sample sleeps.
+	// same instant as per-sample sleeps would.
 	clk.Sleep(cursor)
 	return cursor, nil
 }
@@ -462,29 +448,6 @@ func replayReal(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg *
 		cursor += dur
 	}
 	return cursor, nil
-}
-
-// replaySample runs one sample through all simulated atoms and returns the
-// barrier duration (the slowest atom — within a sample all consumption is
-// concurrent, paper §4.4).
-func replaySample(ctx context.Context, set []atoms.Atom, req atoms.Request, cfg *atoms.Config) ([]AtomSpan, time.Duration, perfcount.Counters, error) {
-	var max time.Duration
-	var consumed perfcount.Counters
-	var spans []AtomSpan
-	for _, a := range set {
-		res, err := a.Consume(ctx, splitRequest(req, a.Name(), cfg))
-		if err != nil {
-			return nil, 0, consumed, err
-		}
-		if res.Dur > max {
-			max = res.Dur
-		}
-		if res.Dur > 0 {
-			spans = append(spans, AtomSpan{Atom: a.Name(), Dur: res.Dur})
-		}
-		consumed = consumed.Add(res.Consumed)
-	}
-	return spans, max, consumed, nil
 }
 
 // filterAtoms applies the disable switches.

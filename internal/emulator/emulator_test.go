@@ -419,3 +419,48 @@ func TestReportTargetVisibility(t *testing.T) {
 		t.Errorf("finals = %+v, %v", fin, ok)
 	}
 }
+
+// BusyTime reads the flat per-atom record a replay fills; a report assembled
+// by hand has none and is answered from its trace.
+func TestBusyTimeRecordAndTraceFallback(t *testing.T) {
+	p := profileOn(t, 100_000, machine.Thinkie, 2)
+	rep := emulateOn(t, p, machine.Stampede, func(o *Options) { o.DisableStorage = true })
+	var fromTrace time.Duration
+	for _, st := range rep.Trace {
+		for _, sp := range st.Spans {
+			if sp.Atom == "compute" {
+				fromTrace += sp.Dur
+			}
+		}
+	}
+	if got := rep.BusyTime("compute"); got == 0 || got != fromTrace {
+		t.Errorf("compute busy %v, trace spans sum to %v", got, fromTrace)
+	}
+	if got := rep.BusyTime("storage"); got != 0 {
+		t.Errorf("disabled storage atom busy %v", got)
+	}
+	if got := rep.BusyTime("no-such-atom"); got != 0 {
+		t.Errorf("unknown atom busy %v", got)
+	}
+
+	byHand := &Report{Trace: []SampleTrace{
+		{Spans: []AtomSpan{{Atom: "compute", Dur: 2 * time.Second}, {Atom: "memory", Dur: time.Second}}},
+		{Spans: []AtomSpan{{Atom: "compute", Dur: 3 * time.Second}}},
+	}}
+	if got := byHand.BusyTime("compute"); got != 5*time.Second {
+		t.Errorf("hand-assembled report: compute busy %v, want 5s", got)
+	}
+	if got := byHand.BusyTime("memory"); got != time.Second {
+		t.Errorf("hand-assembled report: memory busy %v, want 1s", got)
+	}
+
+	// BusyTimes is the same record read at once, in AtomNames order.
+	for _, r := range []*Report{rep, byHand} {
+		all := r.BusyTimes()
+		for i, a := range AtomNames {
+			if all[i] != r.BusyTime(a) {
+				t.Errorf("BusyTimes()[%d] = %v, BusyTime(%q) = %v", i, all[i], a, r.BusyTime(a))
+			}
+		}
+	}
+}

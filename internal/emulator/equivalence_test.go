@@ -2,34 +2,39 @@ package emulator
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"synapse/internal/atoms"
+	"synapse/internal/clock"
 	"synapse/internal/machine"
 	"synapse/internal/profile"
+	"synapse/internal/testutil"
 )
 
-// emulateBoth replays p twice — through the legacy serial loop and the
-// batched columnar path — under otherwise identical options.
+// emulateBoth replays p twice — through the per-sample reference loop
+// (oracle_test.go) and the batched columnar path — under otherwise identical
+// options.
 func emulateBoth(t *testing.T, p *profile.Profile, mod func(*Options)) (*Report, *Report) {
 	t.Helper()
-	run := func(serial bool) *Report {
-		opts := Options{
-			Atoms:  atoms.Config{Machine: machine.MustGet(machine.Comet)},
-			Serial: serial,
-		}
-		if mod != nil {
-			mod(&opts)
-		}
-		rep, err := Emulate(context.Background(), p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	opts := Options{Atoms: atoms.Config{Machine: machine.MustGet(machine.Comet)}}
+	if mod != nil {
+		mod(&opts)
 	}
-	return run(true), run(false)
+	serial, err := emulateOracle(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := Emulate(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serial, batched
 }
 
 // reportsIdentical asserts bit-for-bit equality of everything the serial and
@@ -50,10 +55,10 @@ func reportsIdentical(t *testing.T, serial, batched *Report) bool {
 	if serial.Startup != batched.Startup {
 		fail("startup: serial %v, batched %v", serial.Startup, batched.Startup)
 	}
-	if serial.Consumed != batched.Consumed {
+	if !testutil.SameBits(&serial.Consumed, &batched.Consumed) {
 		fail("consumed: serial %+v, batched %+v", serial.Consumed, batched.Consumed)
 	}
-	for _, atom := range []string{"compute", "storage", "memory", "network"} {
+	for _, atom := range AtomNames {
 		if s, b := serial.BusyTime(atom), batched.BusyTime(atom); s != b {
 			fail("busy %s: serial %v, batched %v", atom, s, b)
 		}
@@ -74,7 +79,7 @@ func reportsIdentical(t *testing.T, serial, batched *Report) bool {
 	}
 	for i := range serial.Trace {
 		s, b := serial.Trace[i], batched.Trace[i]
-		if s.Index != b.Index || s.Start != b.Start || s.Dur != b.Dur || s.Consumed != b.Consumed {
+		if s.Index != b.Index || s.Start != b.Start || s.Dur != b.Dur || !testutil.SameBits(&s.Consumed, &b.Consumed) {
 			fail("trace %d: serial %+v, batched %+v", i, s, b)
 		}
 		if len(s.Spans) != len(b.Spans) {
@@ -162,10 +167,9 @@ func TestTraceLevels(t *testing.T) {
 		for _, level := range []TraceLevel{TraceFull, TraceDurations, TraceNone} {
 			opts := Options{
 				Atoms:      atoms.Config{Machine: machine.MustGet(machine.Comet)},
-				Serial:     serial,
 				TraceLevel: level,
 			}
-			rep, err := Emulate(context.Background(), p, opts)
+			rep, err := replayVia(serial)(context.Background(), p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,9 +210,8 @@ func TestBatchedReplayAllocCeiling(t *testing.T) {
 	m := machine.MustGet(machine.Thinkie)
 	run := func(serial bool, level TraceLevel) float64 {
 		return testing.AllocsPerRun(5, func() {
-			_, err := Emulate(context.Background(), p, Options{
+			_, err := replayVia(serial)(context.Background(), p, Options{
 				Atoms:      atoms.Config{Machine: m},
-				Serial:     serial,
 				TraceLevel: level,
 			})
 			if err != nil {
@@ -228,6 +231,130 @@ func TestBatchedReplayAllocCeiling(t *testing.T) {
 	}
 	t.Logf("allocs per replay of %d samples: serial=%.0f batched(full)=%.0f batched(none)=%.0f",
 		n, serialFull, batchedFull, batchedNone)
+}
+
+// mixedProfile builds a seeded n-sample profile in which every atom has
+// demand on some samples and none on others, with magnitudes spread over
+// several orders so float sums are order- and grouping-sensitive.
+func mixedProfile(n int, seed int64) *profile.Profile {
+	rng := rand.New(rand.NewSource(seed))
+	p := profile.New("matrix", nil)
+	p.SampleRate = 1
+	mag := func(hi float64) float64 { return math.Floor(hi * math.Pow(rng.Float64(), 4)) }
+	for i := 0; i < n; i++ {
+		v := map[string]float64{}
+		if rng.Intn(4) > 0 {
+			v[profile.MetricCPUCycles] = mag(5e9)
+			v[profile.MetricCPUFLOPs] = mag(1e8)
+		}
+		if rng.Intn(3) == 0 {
+			v[profile.MetricIOReadBytes] = mag(1 << 28)
+			v[profile.MetricIOReadOps] = mag(64)
+		}
+		if rng.Intn(3) == 0 {
+			v[profile.MetricIOWriteBytes] = mag(1 << 28)
+			v[profile.MetricIOWriteOps] = mag(64)
+		}
+		if rng.Intn(2) == 0 {
+			v[profile.MetricMemAlloc] = mag(1 << 26)
+			v[profile.MetricMemFree] = mag(1 << 25)
+		}
+		if rng.Intn(5) == 0 {
+			v[profile.MetricNetReadBytes] = mag(1 << 22)
+			v[profile.MetricNetWriteBytes] = mag(1 << 23)
+		}
+		_ = p.Append(profile.Sample{T: time.Duration(i+1) * time.Second, Values: v})
+	}
+	p.Finalize(time.Duration(n+1) * time.Second)
+	return p
+}
+
+// The narrow batch contract (atoms add only their own counter fields, into
+// the run total or the sample's own trace record) must reproduce the
+// reference loop bit-for-bit wherever its destination rule or its staging
+// changes shape: every trace level, the pooled Run path (first use and a
+// recycled scratch, with a per-replay load override) and the pinned-clock
+// Emulate path, and profiles that end before, on and after a batch boundary.
+func TestBatchedMatchesSerialMatrix(t *testing.T) {
+	ctx := context.Background()
+	cfgs := map[string]atoms.Config{
+		"loads": {Load: 0.3, DiskLoad: 0.2, MemLoad: 0.1},
+		"mpi-dup-loads": {
+			Workers: 4, Mode: machine.ModeMPI,
+			Load: 0.15, DiskLoad: 0.4, MemLoad: 0.25, UseProfiledBlocks: true,
+		},
+	}
+	levels := map[string]TraceLevel{"full": TraceFull, "durations": TraceDurations, "none": TraceNone}
+	for _, n := range []int{0, 1, replayBatchSize - 1, replayBatchSize, replayBatchSize + 1, 2*replayBatchSize + 1} {
+		p := mixedProfile(n, int64(n)+1)
+		for cfgName, cfg := range cfgs {
+			cfg.Machine = machine.MustGet(machine.Stampede)
+			for levelName, level := range levels {
+				t.Run(fmt.Sprintf("n=%d/%s/%s", n, cfgName, levelName), func(t *testing.T) {
+					opts := Options{Atoms: cfg, TraceLevel: level}
+					want, err := emulateOracle(ctx, p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					run, err := NewRun(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// A replay at another load first, so the replay under
+					// test runs on a recycled scratch (surplus reset,
+					// config rewritten, destinations refilled).
+					if _, err := run.EmulateWithLoad(ctx, 0.6); err != nil {
+						t.Fatal(err)
+					}
+					pooled, err := run.Emulate(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reportsIdentical(t, want, pooled)
+
+					opts.Clock = clock.NewAutoSim(t0)
+					pinned, err := Emulate(ctx, p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reportsIdentical(t, want, pinned)
+				})
+			}
+		}
+	}
+}
+
+// A pooled TraceNone replay allocates the report and nothing else: the atom
+// set, the clock and the staging buffers come from the Run's pool, and the
+// busy record is an array inside the report.
+func TestPooledReplayAllocatesOnlyTheReport(t *testing.T) {
+	// The race detector makes sync.Pool drop a quarter of its Puts at
+	// random, so a replay there rebuilds its scratch now and then.
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		probe.Put(new(int))
+		if probe.Get() == nil {
+			t.Skip("sync.Pool is not recycling (race detector?); the pin needs a pool hit per replay")
+		}
+	}
+	p := benchReplayProfile(2*replayBatchSize + 1)
+	run, err := NewRun(p, Options{
+		Atoms:      atoms.Config{Machine: machine.MustGet(machine.Thinkie)},
+		TraceLevel: TraceNone,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := run.EmulateWithLoad(ctx, 0.2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("pooled TraceNone replay: %.1f allocs, want <= 1 (the report)", got)
+	}
 }
 
 // benchReplayProfile builds a deterministic mixed-demand profile of n

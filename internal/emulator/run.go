@@ -9,6 +9,7 @@ import (
 	"synapse/internal/atoms"
 	"synapse/internal/clock"
 	"synapse/internal/machine"
+	"synapse/internal/perfcount"
 	"synapse/internal/profile"
 )
 
@@ -88,17 +89,50 @@ func (r *Run) EmulateWithLoad(ctx context.Context, load float64) (*Report, error
 var scratchEpoch = time.Unix(0, 0).UTC()
 
 // replayScratch is one simulated replay's working set: the atom set (built
-// against the scratch's own config copy), the auto-advancing clock, and
+// against the scratch's own config copy), the auto-advancing clock (pooled
+// scratches only; a pinned-clock replay is paced by the caller's), and
 // the batched loop's staging buffers. Recycling it turns the per-replay
-// cost — four atoms, a clock, four slices — into a pool hit.
+// cost — four atoms, a clock, three slices — into a pool hit.
 type replayScratch struct {
-	cfg     atoms.Config
-	set     []atoms.Atom
-	names   []string
-	clk     clock.AutoSim
-	reqs    []atoms.Request
-	results []atoms.Result
-	busy    []time.Duration
+	cfg   atoms.Config
+	set   []atoms.Atom
+	names []string
+	clk   clock.AutoSim
+	// Staging for one batch: the gathered requests, one run of durations
+	// per atom (atom ai's at durs[ai*bs:]), and each sample's consumption
+	// destination. dst is refilled by every replay; between replays it
+	// still points into the previous report, which pins at most that one
+	// report until the scratch is reused or the pool drops it.
+	reqs []atoms.Request
+	durs []time.Duration
+	dst  []*perfcount.Counters
+}
+
+// newScratch builds the simulated atom set for cfg, with the run's disable
+// switches applied.
+func (r *Run) newScratch(cfg atoms.Config) (*replayScratch, error) {
+	sc := &replayScratch{cfg: cfg}
+	set, err := atoms.NewSimSet(&sc.cfg)
+	if err != nil {
+		return nil, err
+	}
+	sc.set = filterAtoms(set, r.opts)
+	sc.names = make([]string, len(sc.set))
+	for i, a := range sc.set {
+		sc.names[i] = a.Name()
+	}
+	return sc, nil
+}
+
+// stage returns staging buffers for batches of bs samples, grown on first
+// use and whenever a longer profile needs them.
+func (sc *replayScratch) stage(bs int) ([]atoms.Request, []time.Duration, []*perfcount.Counters) {
+	if cap(sc.reqs) < bs {
+		sc.reqs = make([]atoms.Request, bs)
+		sc.durs = make([]time.Duration, len(sc.set)*bs)
+		sc.dst = make([]*perfcount.Counters, bs)
+	}
+	return sc.reqs[:bs], sc.durs[:len(sc.set)*bs], sc.dst[:bs]
 }
 
 // acquire returns a replay-ready scratch for cfg: recycled from the pool
@@ -115,18 +149,25 @@ func (r *Run) acquire(cfg atoms.Config) (*replayScratch, error) {
 		sc.clk.Reset(scratchEpoch)
 		return sc, nil
 	}
-	sc := &replayScratch{cfg: cfg}
-	set, err := atoms.NewSimSet(&sc.cfg)
+	sc, err := r.newScratch(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sc.set = filterAtoms(set, r.opts)
-	sc.names = make([]string, len(sc.set))
-	for i, a := range sc.set {
-		sc.names[i] = a.Name()
-	}
 	sc.clk = clock.NewAutoSim(scratchEpoch)
 	return sc, nil
+}
+
+// newReport starts the report of one replay under cfg.
+func (r *Run) newReport(cfg *atoms.Config) *Report {
+	rep := &Report{
+		Machine: cfg.Machine.Name,
+		Kernel:  cfg.Kernel,
+		Startup: r.startup,
+	}
+	if rep.Kernel == "" {
+		rep.Kernel = machine.KernelASM
+	}
+	return rep
 }
 
 // emulateSim is the simulated replay with an unpinned clock — the scenario
@@ -140,25 +181,17 @@ func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config) (*Report, error)
 		return nil, err
 	}
 	defer r.pool.Put(sc)
+	return r.replaySim(ctx, sc, sc.clk)
+}
 
+// replaySim is one simulated replay of sc's atoms, paced by clk.
+func (r *Run) replaySim(ctx context.Context, sc *replayScratch, clk clock.Clock) (*Report, error) {
+	// Start-up: locate and load the profile, spawn atom threads.
 	if r.startup > 0 {
-		sc.clk.Sleep(r.startup)
+		clk.Sleep(r.startup)
 	}
-	rep := &Report{
-		Machine: sc.cfg.Machine.Name,
-		Kernel:  sc.cfg.Kernel,
-		Startup: r.startup,
-		busy:    make(map[string]time.Duration, len(sc.set)),
-	}
-	if rep.Kernel == "" {
-		rep.Kernel = machine.KernelASM
-	}
-	var total time.Duration
-	if r.opts.Serial {
-		total, err = replaySerial(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, sc.clk, rep)
-	} else {
-		total, err = replayBatched(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, sc.clk, rep, sc)
-	}
+	rep := r.newReport(&sc.cfg)
+	total, err := replayBatched(ctx, r.p, r.opts.TraceLevel, r.overhead, clk, rep, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -168,65 +201,40 @@ func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config) (*Report, error)
 	return rep, nil
 }
 
-// emulate is one replay: fresh atom set, fresh clock (unless the options
-// pinned one), then the batched / serial / real replay loop.
+// emulate is one replay: real mode against the host; simulated, the pooled
+// path, or — when the options pinned a clock, which every replay then
+// shares — a fresh atom set paced by that clock.
 func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
-	if !r.opts.Real && r.opts.Clock == nil {
+	if r.opts.Real {
+		return r.emulateReal(ctx, cfg)
+	}
+	if r.opts.Clock == nil {
 		return r.emulateSim(ctx, cfg)
 	}
-	var set []atoms.Atom
-	var err error
-	if r.opts.Real {
-		set, err = atoms.NewRealSet(&cfg, r.opts.ScratchDir)
-	} else {
-		set, err = atoms.NewSimSet(&cfg)
+	sc, err := r.newScratch(cfg)
+	if err != nil {
+		return nil, err
 	}
+	return r.replaySim(ctx, sc, r.opts.Clock)
+}
+
+// emulateReal is one replay against the host. Constructing the real atoms
+// already costs real time, so no modeled start-up delay is slept.
+func (r *Run) emulateReal(ctx context.Context, cfg atoms.Config) (*Report, error) {
+	set, err := atoms.NewRealSet(&cfg, r.opts.ScratchDir)
 	if err != nil {
 		return nil, err
 	}
 	set = filterAtoms(set, r.opts)
-
 	clk := r.opts.Clock
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-
 	start := clk.Now()
-	// Start-up: locate and load the profile, spawn atom threads. In real
-	// mode the atom construction above already cost real time; the modeled
-	// delay applies to simulated runs.
-	if !r.opts.Real && r.startup > 0 {
-		clk.Sleep(r.startup)
-	}
-
-	rep := &Report{
-		Machine: cfg.Machine.Name,
-		Kernel:  cfg.Kernel,
-		Startup: r.startup,
-		busy:    make(map[string]time.Duration, len(set)),
-	}
-	if rep.Kernel == "" {
-		rep.Kernel = machine.KernelASM
-	}
-
-	var total time.Duration
-	switch {
-	case r.opts.Real:
-		total, err = replayReal(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, rep)
-	case r.opts.Serial:
-		total, err = replaySerial(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, clk, rep)
-	default:
-		total, err = replayBatched(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, clk, rep, nil)
-	}
-	if err != nil {
+	rep := r.newReport(&cfg)
+	if _, err := replayReal(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, rep); err != nil {
 		return nil, err
 	}
-
 	rep.Tx = clk.Now().Sub(start)
-	if !r.opts.Real {
-		// Simulated clocks advance exactly by slept time; assemble Tx
-		// from parts to avoid clock granularity concerns.
-		rep.Tx = r.startup + total
-	}
 	return rep, nil
 }

@@ -55,9 +55,7 @@ type Outcome struct {
 // set condenses an emulator report into its fold-relevant outcome.
 func (o *Outcome) set(r *emulator.Report) {
 	o.Tx = r.Tx
-	for ai, a := range atomNames {
-		o.Busy[ai] = r.BusyTime(a)
-	}
+	o.Busy = r.BusyTimes()
 	o.Consumed = r.Consumed
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"synapse/internal/cluster"
+	"synapse/internal/emulator"
 	"synapse/internal/perfcount"
 	"synapse/internal/stats"
 )
@@ -131,8 +132,10 @@ type LatencySummary struct {
 	Max  Duration `json:"max"`
 }
 
-// atomNames are the emulation atoms a report can break busy time down by.
-var atomNames = [...]string{"compute", "memory", "network", "storage"}
+// atomNames are the emulation atoms a report can break busy time down by,
+// in the index order of Outcome.Busy (the emulator's, so an outcome copies a
+// report's busy record as is).
+var atomNames = emulator.AtomNames
 
 // reporter is the aggregation sink: it folds the scheduler's event stream
 // into the counters the report is built from. Order-sensitive aggregation
