@@ -9,7 +9,6 @@
 //	synapse-sim -scenario mix.json -cluster cluster.json
 //	synapse-sim -scenario failover.json -timeline series.csv
 //	synapse-sim -scenario failover.json -trace out.json -progress
-//	synapse-sim -scenario huge.json -workers-remote h1:9191,h2:9191 -shards 32
 //	synapse-sim -scenario huge.json -workers-remote h1:9191,h2:9191 -chunk 128 -steal-after 500ms
 //	synapse-sim -scenario mix.json -cpuprofile cpu.pprof
 //	synapse-sim -scenario huge.json -pprof 127.0.0.1:6060
@@ -26,13 +25,13 @@
 // series, node lifecycle markers (see docs/observability.md). -progress
 // paints a live stderr meter (virtual time, arrivals/s, queue depth) for
 // long runs. -workers-remote distributes the emulation replays across a
-// fleet of synapse-worker daemons (comma-separated host:port list; -shards
-// sets the partition granularity) — the schedule stays local and the
-// report stays byte-identical to a single-process run, at any fleet size.
-// Shards dispatch as fixed-size job chunks (-chunk) that idle workers pull
-// and, past the -steal-after straggler threshold, speculatively re-execute;
-// outcomes stream back and fold incrementally within a bounded -fold-window
-// (see docs/distributed.md). Reports are deterministic for a fixed spec
+// fleet of synapse-worker daemons (comma-separated host:port list) — the
+// schedule stays local and the report stays byte-identical to a
+// single-process run, at any fleet size. Jobs dispatch as contiguous
+// fixed-size chunks (-chunk) that idle workers pull and, past the
+// -steal-after straggler threshold, speculatively re-execute; outcomes
+// stream back and fold incrementally within a bounded -fold-window (see
+// docs/distributed.md). Reports are deterministic for a fixed spec
 // and seed: same inputs, byte-identical -out file (and byte-identical
 // -trace file). See docs/scenarios.md for the spec format, including the
 // events block (node failures, drains, additions, autoscaling).
@@ -90,8 +89,7 @@ func run(args []string) error {
 	tracePath := fs.String("trace", "", "write the run as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
 	progress := fs.Bool("progress", false, "paint a live progress meter (virtual time, arrivals/s, queue depth) on stderr")
 	workersRemote := fs.String("workers-remote", "", "comma-separated synapse-worker addresses (host:port or http://host:port); distributes emulation replays across the fleet")
-	shards := fs.Int("shards", 0, "shard count for -workers-remote (0 = 4x fleet size)")
-	chunk := fs.Int("chunk", 0, "jobs per dispatch chunk for -workers-remote — the unit of work stealing and speculation (0 = 256, negative = one chunk per shard)")
+	chunk := fs.Int("chunk", 0, "jobs per dispatch chunk for -workers-remote — the unit of work stealing and speculation (0 = 256, negative = one chunk per dispatch)")
 	stealAfter := fs.Duration("steal-after", 0, "straggler threshold for -workers-remote: in-flight chunks older than this are speculatively re-executed on idle workers (0 = adapt to observed p95 chunk latency, negative = disable speculation)")
 	foldWindow := fs.Int("fold-window", 0, "fold window for -workers-remote: max jobs in flight or buffered ahead of the streaming fold (0 = 4096)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -198,7 +196,6 @@ func run(args []string) error {
 		}
 		co, err := dist.NewCoordinator(ctx, spec, st, dist.Config{
 			Workers:    fleet,
-			Shards:     *shards,
 			ChunkSize:  *chunk,
 			StealAfter: *stealAfter,
 			Window:     *foldWindow,
@@ -209,14 +206,11 @@ func run(args []string) error {
 		opts.Executor = co
 		chunkDesc := fmt.Sprintf("chunks of %d jobs", co.ChunkSize())
 		if co.ChunkSize() <= 0 {
-			chunkDesc = "one chunk per shard"
+			chunkDesc = "one chunk per dispatch"
 		}
-		fmt.Fprintf(stdout, "distributing replays across %d workers in %d shards (%s)\n",
-			len(fleet), co.Shards(), chunkDesc)
+		fmt.Fprintf(stdout, "distributing replays across %d workers (%s)\n", len(fleet), chunkDesc)
 	} else {
 		switch {
-		case *shards != 0:
-			return fmt.Errorf("-shards requires -workers-remote")
 		case *chunk != 0:
 			return fmt.Errorf("-chunk requires -workers-remote")
 		case *stealAfter != 0:

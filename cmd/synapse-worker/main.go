@@ -1,6 +1,6 @@
 // synapse-worker is the Synapse fleet worker daemon: it serves the
 // distributed scenario-execution protocol (internal/dist), compiling specs
-// a coordinator ships to it and executing shards of replay jobs on the
+// a coordinator ships to it and executing chunks of replay jobs on the
 // batched emulation engine.
 //
 //	synapse-worker -addr :9191
@@ -13,12 +13,12 @@
 // resolves profiles and ships them inline with the spec, so a worker
 // deployment is one static binary and one port. Outcomes are pure
 // functions of the compiled (spec, profiles) — any worker can serve any
-// chunk of any shard, any number of times (the coordinator speculatively
-// re-executes straggler chunks), and the coordinator's merged report is
-// byte-identical to a single-process run. Streaming execute requests get
-// chunked NDJSON responses, -stream-batch outcomes per line. /v1/healthz reports liveness plus the admission
-// counters, GET /v1/metrics renders Prometheus text exposition (RED
-// middleware plus worker series), and the daemon sheds new shards and
+// chunk, any number of times (the coordinator speculatively re-executes
+// straggler chunks), and the coordinator's merged report is byte-identical
+// to a single-process run. Execute requests get NDJSON responses,
+// -stream-batch outcomes per line. /v1/healthz reports liveness plus the
+// admission counters, GET /v1/metrics renders Prometheus text exposition
+// (RED middleware plus worker series), and the daemon sheds new chunks and
 // drains in-flight ones on SIGINT/SIGTERM. See docs/distributed.md.
 package main
 
@@ -52,9 +52,9 @@ type options struct {
 
 func bindFlags(fs *flag.FlagSet) *options {
 	o := &options{Daemon: httpsvc.NewDaemon(fs, stdout, ":9191")}
-	fs.IntVar(&o.workers, "workers", 0, "parallel emulation workers per shard (0 = all cores)")
+	fs.IntVar(&o.workers, "workers", 0, "parallel emulation workers per execute request (0 = all cores)")
 	fs.IntVar(&o.maxSessions, "max-sessions", 4, "compile sessions held before evicting the oldest")
-	fs.IntVar(&o.streamBatch, "stream-batch", 0, "outcomes per NDJSON line on streaming execute responses (0 = 64)")
+	fs.IntVar(&o.streamBatch, "stream-batch", 0, "outcomes per NDJSON line of an execute response (0 = 64)")
 	return o
 }
 

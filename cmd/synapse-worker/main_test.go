@@ -82,11 +82,11 @@ func TestWorkerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := dist.NewHTTPWorker(base, nil)
-	if err := w.Compile(ctx, &dist.CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 1}); err != nil {
+	if err := w.Compile(ctx, &dist.CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
 		t.Fatal(err)
 	}
 	req := &dist.ExecuteRequest{
-		Session: "s", Shard: 0, ShardKey: dist.ShardKeys(spec.Seed, 1)[0],
+		Session: "s", Seed: spec.Seed,
 		Jobs: []scenario.Job{
 			{Workload: 0, LoadBits: math.Float64bits(0.1)},
 			{Workload: 0, LoadBits: math.Float64bits(0.2)},

@@ -45,7 +45,7 @@ func BenchmarkDist(b *testing.B) {
 // delayedWorker serializes its executes behind a mutex and adds a fixed
 // delay to each — a worker an order of magnitude slower than its siblings,
 // the benchmark's injected straggler. It honors cancellation, like a real
-// remote worker, and hides the streaming face so delays apply per chunk.
+// remote worker.
 type delayedWorker struct {
 	Worker
 	mu    sync.Mutex
@@ -64,23 +64,24 @@ func (d *delayedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*sc
 }
 
 // barrierExecutor is the pre-chunking dispatch discipline, kept as the
-// straggler benchmark's baseline: shards statically round-robined over the
-// fleet, one RPC per shard, and a full barrier before any folding.
+// straggler benchmark's baseline: the jobs split statically into equal
+// contiguous parts round-robined over the fleet, one RPC per part, and a
+// full barrier before any folding.
 type barrierExecutor struct {
 	creq  *CompileRequest
-	keys  []uint64
 	fleet []Worker
+	parts int
 }
 
-func newBarrierExecutor(ctx context.Context, spec *scenario.Spec, st store.Store, fleet []Worker, shards int) (*barrierExecutor, error) {
+func newBarrierExecutor(ctx context.Context, spec *scenario.Spec, st store.Store, fleet []Worker, parts int) (*barrierExecutor, error) {
 	profs, err := scenario.ResolveProfiles(ctx, spec, st)
 	if err != nil {
 		return nil, err
 	}
 	e := &barrierExecutor{
-		creq:  &CompileRequest{Session: "bench-barrier", Spec: spec, Profiles: profs, Shards: shards},
-		keys:  ShardKeys(spec.Seed, shards),
+		creq:  &CompileRequest{Session: "bench-barrier", Spec: spec, Profiles: profs},
 		fleet: fleet,
+		parts: parts,
 	}
 	for _, w := range fleet {
 		if err := w.Compile(ctx, e.creq); err != nil {
@@ -91,42 +92,26 @@ func newBarrierExecutor(ctx context.Context, spec *scenario.Spec, st store.Store
 }
 
 func (e *barrierExecutor) ExecuteJobs(ctx context.Context, jobs []scenario.Job) ([]*scenario.Outcome, error) {
-	byShard := make([][]int, len(e.keys))
-	for i, j := range jobs {
-		s := shardOf(jobHash(j), e.keys)
-		byShard[s] = append(byShard[s], i)
-	}
 	outs := make([]*scenario.Outcome, len(jobs))
-	errs := make([]error, len(e.keys))
+	errs := make([]error, e.parts)
+	per := (len(jobs) + e.parts - 1) / e.parts
 	var wg sync.WaitGroup
-	for s, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		payload := make([]scenario.Job, len(idxs))
-		for k, gi := range idxs {
-			payload[k] = jobs[gi]
-		}
+	for p := 0; p*per < len(jobs); p++ {
+		lo, hi := p*per, min((p+1)*per, len(jobs))
 		wg.Add(1)
-		go func(s int, w Worker, idxs []int, payload []scenario.Job) {
+		go func(p int, w Worker) {
 			defer wg.Done()
 			res, err := w.Execute(ctx, &ExecuteRequest{
-				Session: e.creq.Session, Shard: s, ShardKey: e.keys[s], Jobs: payload,
+				Session: e.creq.Session, Seed: e.creq.Spec.Seed, Jobs: jobs[lo:hi],
 			})
-			if err != nil {
-				errs[s] = err
-				return
+			if err == nil && len(res) != hi-lo {
+				err = fmt.Errorf("part %d: %d outcomes for %d jobs", p, len(res), hi-lo)
 			}
-			if len(res) != len(idxs) {
-				errs[s] = fmt.Errorf("shard %d: %d outcomes for %d jobs", s, len(res), len(idxs))
-				return
-			}
-			for k, gi := range idxs {
-				outs[gi] = res[k]
-			}
-		}(s, e.fleet[s%len(e.fleet)], idxs, payload)
+			errs[p] = err
+			copy(outs[lo:hi], res)
+		}(p, e.fleet[p%len(e.fleet)])
 	}
-	wg.Wait() // the barrier: nothing folds until the slowest shard lands
+	wg.Wait() // the barrier: nothing folds until the slowest part lands
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -146,7 +131,7 @@ func stragglerSpec() *scenario.Spec {
 
 // BenchmarkDistStraggler measures end-to-end wall clock with one of four
 // workers dramatically slow, across dispatch disciplines: barrier (static
-// shard round-robin, full barrier — what chunked dispatch replaced), pull
+// equal splits, full barrier — what chunked dispatch replaced), pull
 // (chunked pull dispatch, speculation off), and steal (chunked pull plus
 // speculative re-execution of stragglers). The straggler-ms metric is wall
 // milliseconds per scenario run, lower is better; benchguard gates it via
@@ -186,7 +171,7 @@ func BenchmarkDistStraggler(b *testing.B) {
 	})
 	b.Run("mode=pull", func(b *testing.B) {
 		co, err := NewCoordinator(ctx, spec, st, Config{
-			Workers: mkFleet(), Shards: 16, ChunkSize: 8, StealAfter: -1,
+			Workers: mkFleet(), ChunkSize: 8, StealAfter: -1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -195,7 +180,7 @@ func BenchmarkDistStraggler(b *testing.B) {
 	})
 	b.Run("mode=steal", func(b *testing.B) {
 		co, err := NewCoordinator(ctx, spec, st, Config{
-			Workers: mkFleet(), Shards: 16, ChunkSize: 8, StealAfter: 5 * time.Millisecond,
+			Workers: mkFleet(), ChunkSize: 8, StealAfter: 5 * time.Millisecond,
 		})
 		if err != nil {
 			b.Fatal(err)

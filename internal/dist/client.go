@@ -27,7 +27,7 @@ type HTTPWorker struct {
 
 // NewHTTPWorker returns a client for the worker daemon at base (e.g.
 // "http://host:9191"). hc nil uses a client with a 60s overall timeout —
-// shard executions are real work, not metadata lookups.
+// chunk executions are real work, not metadata lookups.
 func NewHTTPWorker(base string, hc *http.Client) *HTTPWorker {
 	if hc == nil {
 		hc = &http.Client{Timeout: 60 * time.Second}
@@ -46,59 +46,46 @@ func (w *HTTPWorker) Compile(ctx context.Context, req *CompileRequest) error {
 	}
 	if resp.Seed != req.Spec.Seed {
 		return fmt.Errorf("%w: worker %s compiled seed %d, coordinator has %d",
-			ErrShardKey, w.base, resp.Seed, req.Spec.Seed)
+			ErrSeedMismatch, w.base, resp.Seed, req.Spec.Seed)
 	}
 	return nil
 }
 
-// Execute implements Worker.
+// Execute implements Worker: the gather over ExecuteStream — the
+// coordinator commits a chunk all-or-nothing, so it wants the result whole.
 func (w *HTTPWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	var resp ExecuteResponse
-	if err := w.post(ctx, "/v1/execute", req, &resp); err != nil {
+	// emit's slice is reused line to line; only the outcomes it points to
+	// (one slab per wire line) change hands.
+	outs := make([]*scenario.Outcome, 0, len(req.Jobs))
+	err := w.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
+		outs = append(outs, batch...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	slab, err := unpackOutcomes(resp.Packed)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
-	}
-	return appendPointers(make([]*scenario.Outcome, 0, len(slab)), slab), nil
+	return outs, nil
 }
 
-// ExecuteStream implements StreamWorker: it asks for an NDJSON response and
-// hands each outcome batch to emit as it is decoded — one slab per line —
-// so the chunk's result never materializes as one body on either side. The
-// slice handed to emit is reused for the next line; the outcomes it points
-// to are the callee's. A terminal done line is required — a stream that
-// ends without one (connection cut, worker died mid-chunk) is an error,
-// never a silently short result. Servers that predate streaming answer
-// with a plain JSON body; that degrades to a single emit.
+// ExecuteStream is the transport method: it posts the chunk and hands each
+// outcome batch of the NDJSON response to emit as it is decoded — one slab
+// per line — so the chunk's result never materializes as one body on either
+// side. The slice handed to emit is reused for the next line; the outcomes it
+// points to are the callee's. A terminal done line is required — a stream
+// that ends without one (connection cut, worker died mid-chunk) is an error,
+// never a silently short result — and so is the NDJSON content type: a 200
+// in any other shape is not a worker speaking this protocol.
 func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
-	sreq := *req
-	sreq.Stream = true
-	resp, err := w.send(ctx, "/v1/execute", &sreq)
+	resp, err := w.send(ctx, "/v1/execute", req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	var batch []*scenario.Outcome // emit's argument, reused line to line
-	deliver := func(packed []byte) (int, error) {
-		slab, err := unpackOutcomes(packed)
-		if err != nil {
-			return 0, fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
-		}
-		batch = appendPointers(batch[:0], slab)
-		return len(slab), emit(batch)
-	}
-	dec := json.NewDecoder(resp.Body)
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
-		// Pre-streaming server: one ExecuteResponse body, emitted whole.
-		var er ExecuteResponse
-		if err := dec.Decode(&er); err != nil {
-			return fmt.Errorf("dist: %s /v1/execute: decode response: %w", w.base, err)
-		}
-		_, err := deliver(er.Packed)
-		return err
+		return fmt.Errorf("dist: %s /v1/execute: response is %q, not NDJSON", w.base, ct)
 	}
+	var batch []*scenario.Outcome // emit's argument, reused line to line
+	dec := json.NewDecoder(resp.Body)
 	streamed := 0
 	for {
 		var line StreamChunk
@@ -117,11 +104,15 @@ func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emi
 			}
 			return nil
 		default:
-			n, err := deliver(line.Packed)
+			slab, err := unpackOutcomes(line.Packed)
 			if err != nil {
+				return fmt.Errorf("dist: %s /v1/execute: %w", w.base, err)
+			}
+			batch = appendPointers(batch[:0], slab)
+			if err := emit(batch); err != nil {
 				return err
 			}
-			if streamed += n; streamed > len(req.Jobs) {
+			if streamed += len(slab); streamed > len(req.Jobs) {
 				return fmt.Errorf("dist: %s /v1/execute: stream carries %d outcomes for %d jobs", w.base, streamed, len(req.Jobs))
 			}
 		}

@@ -194,15 +194,16 @@ func (c cannedTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // FuzzStreamDecode drives HTTPWorker.ExecuteStream against arbitrary
 // response bytes. Whatever a worker (or the network) sends back, the client
 // must not panic, must not hand out nil outcomes, and must not report
-// success unless the stream said done with a count matching what was
-// delivered and no more outcomes arrived than jobs were asked for.
+// success unless the response was NDJSON and the stream said done with a
+// count matching what was delivered and no more outcomes arrived than jobs
+// were asked for.
 func FuzzStreamDecode(f *testing.F) {
 	// The adversarial seeds — truncation, a payload that is not whole
 	// records, done-count mismatches, an error line mid-stream, more
 	// outcomes than jobs — are committed under testdata/fuzz/.
 	two := base64.StdEncoding.EncodeToString(packOutcomes(nil, []*scenario.Outcome{&goldenOutcome, &goldenOutcome}))
 	f.Add([]byte(`{"packed":"`+two+`"}`+"\n"+`{"done":true,"n":2}`+"\n"), 2, true) // a whole stream
-	f.Add([]byte(`{"packed":"`+two+`"}`), 2, false)                                // the plain-JSON fallback body
+	f.Add([]byte(`{"packed":"`+two+`"}`), 2, false)                                // a 200 that is not NDJSON
 	f.Add([]byte(nil), 0, true)
 	f.Fuzz(func(t *testing.T, body []byte, jobs int, ndjson bool) {
 		if jobs < 0 || jobs > 1<<12 {
@@ -228,14 +229,10 @@ func FuzzStreamDecode(f *testing.F) {
 			return
 		}
 		// Success: replay the stream independently and hold the client to it.
-		dec := json.NewDecoder(bytes.NewReader(body))
 		if !ndjson {
-			var er ExecuteResponse
-			if dec.Decode(&er) != nil || len(er.Packed) != delivered*recordSize {
-				t.Fatalf("fallback body succeeded with %d outcomes delivered from %q", delivered, body)
-			}
-			return
+			t.Fatalf("a response that is not NDJSON succeeded with %d outcomes delivered from %q", delivered, body)
 		}
+		dec := json.NewDecoder(bytes.NewReader(body))
 		if delivered > jobs {
 			t.Fatalf("stream succeeded with %d outcomes for %d jobs", delivered, jobs)
 		}

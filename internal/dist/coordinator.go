@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,16 +39,11 @@ const (
 type Config struct {
 	// Workers is the fleet. At least one is required.
 	Workers []Worker
-	// Shards is the partition granularity (shard keys derive from the
-	// scenario seed, so the partition itself is deterministic). 0 picks
-	// 4× the fleet size — enough slack that reassignment after a failure
-	// spreads across survivors instead of doubling one worker's share.
-	Shards int
-	// ChunkSize splits each shard into job chunks of at most this size —
-	// the unit of dispatch, work stealing and speculative re-execution.
-	// Chunking changes only when work runs, never what runs or the fold
-	// order: the shard partition stays a pure function of (seed, shards).
-	// 0 picks 256; negative disables chunking (one chunk per shard).
+	// ChunkSize tiles each dispatch's jobs, in job order, into contiguous
+	// chunks of at most this size — the unit of dispatch, work stealing and
+	// speculative re-execution. Chunking changes only when work runs, never
+	// what runs or the fold order. 0 picks 256; negative disables chunking
+	// (one chunk per dispatch).
 	ChunkSize int
 	// StealAfter is the straggler threshold: when the queue is drained and
 	// a worker sits idle, an in-flight chunk older than this is
@@ -64,7 +58,7 @@ type Config struct {
 	// window, so progress never deadlocks.
 	Window int
 	// Retry governs each chunk RPC; nil uses retry.Default. Protocol
-	// errors (invalid request, shard-key mismatch) are always terminal
+	// errors (invalid request, seed mismatch) are always terminal
 	// regardless of the policy's own classifier.
 	Retry *retry.Policy
 	// Logger receives chunk dispatch and failure events. nil discards.
@@ -82,23 +76,21 @@ type Config struct {
 type workerState struct {
 	w   Worker
 	idx int // configuration order, the tiebreak of the affinity pick
-	// mu serializes compilation so concurrent chunks on one worker do
+	// mu serializes the compile RPC so concurrent chunks on one worker do
 	// not compile twice.
-	mu       sync.Mutex
-	compiled bool
-	// warm mirrors compiled for lock-free reads by the affinity pick:
-	// reassignment prefers workers that already hold the session.
-	warm atomic.Bool
-	dead atomic.Bool
+	mu sync.Mutex
+	// compiled: the worker holds the session — set by ensureCompiled,
+	// cleared when the worker answers ErrNoSession, and read lock-free by
+	// the affinity pick, which prefers such workers.
+	compiled atomic.Bool
+	dead     atomic.Bool
 }
 
-// chunkState is one chunk of one shard within the current dispatch: a run
-// of the shard's jobs small enough to schedule, steal and re-execute as a
-// unit.
+// chunkState is one chunk of the current dispatch: a contiguous run of its
+// jobs small enough to schedule, steal and re-execute as a unit.
 type chunkState struct {
-	shard int
-	idxs  []int          // global job indices, ascending
-	jobs  []scenario.Job // packed payload, parallel to idxs
+	first int            // index of jobs[0] in the dispatch
+	jobs  []scenario.Job // a sub-slice of the caller's jobs, never a copy
 	// attempts counts executions currently in flight (primary plus at most
 	// one speculative twin); done flips at the first commit.
 	attempts int
@@ -118,38 +110,26 @@ type chunkState struct {
 
 // dispatchScratch is the per-instant dispatch state, pooled across
 // scheduling instants: a clustered scenario dispatches once per instant,
-// and reallocating the partition lists, chunk table and payload buffer
-// every time was measurable allocation churn on the sim hot path. plan
-// resets and reuses everything; the AllocsPerRun regression test pins the
-// steady state at zero.
+// and reallocating the chunk table every time was measurable allocation
+// churn on the sim hot path. plan resets and reuses everything; the
+// AllocsPerRun regression test pins the steady state at zero.
 type dispatchScratch struct {
-	byShard  [][]int
+	// chunks tile the dispatch in job order, which is also dispatch order:
+	// the chunk holding the fold watermark is always among the earliest
+	// dispatched.
 	chunks   []chunkState
-	queue    []*chunkState
-	payload  []scenario.Job
 	buffered []*scenario.Outcome // indexed by job; nil = not committed, or already folded
 	requeue  []*chunkState
 	idle     []*workerState
 }
 
-// sort.Interface over scratch.queue, ordered by first global job index —
-// dispatch order must follow the fold order so the chunk holding the
-// watermark is always among the earliest dispatched. Implemented on the
-// scratch itself so sorting allocates nothing.
-func (sc *dispatchScratch) Len() int      { return len(sc.queue) }
-func (sc *dispatchScratch) Swap(i, j int) { sc.queue[i], sc.queue[j] = sc.queue[j], sc.queue[i] }
-func (sc *dispatchScratch) Less(i, j int) bool {
-	return sc.queue[i].idxs[0] < sc.queue[j].idxs[0]
-}
-
-// Coordinator partitions replay jobs into deterministic shards, splits the
-// shards into chunks, and pull-dispatches the chunks across the fleet with
-// straggler speculation and a streaming, windowed fold. It implements
+// Coordinator tiles replay jobs into contiguous chunks and pull-dispatches
+// the chunks across the fleet with straggler speculation and a streaming,
+// windowed fold. It implements
 // scenario.StreamingExecutor, so plugging it into
 // scenario.RunOptions.Executor distributes any scenario unchanged.
 type Coordinator struct {
 	creq       *CompileRequest
-	keys       []uint64
 	policy     retry.Policy
 	log        *slog.Logger
 	chunkSize  int
@@ -221,10 +201,6 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 4 * len(cfg.Workers)
-	}
 	chunk := cfg.ChunkSize
 	if chunk == 0 {
 		chunk = defaultChunkSize
@@ -242,7 +218,7 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 	}
 	inner := policy.Classify
 	policy.Classify = func(err error) retry.Class {
-		if errors.Is(err, ErrInvalid) || errors.Is(err, ErrShardKey) {
+		if errors.Is(err, ErrInvalid) || errors.Is(err, ErrSeedMismatch) {
 			return retry.Terminal
 		}
 		if inner != nil {
@@ -265,9 +241,7 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 			Session:  "sc-" + hex.EncodeToString(nonce),
 			Spec:     spec,
 			Profiles: profs,
-			Shards:   shards,
 		},
-		keys:       ShardKeys(spec.Seed, shards),
 		policy:     policy,
 		log:        log,
 		chunkSize:  chunk,
@@ -307,11 +281,8 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 	return co, nil
 }
 
-// Shards returns the partition granularity the coordinator derived.
-func (co *Coordinator) Shards() int { return co.creq.Shards }
-
 // ChunkSize returns the dispatch chunk size (negative: chunking disabled,
-// one chunk per shard).
+// one chunk per dispatch).
 func (co *Coordinator) ChunkSize() int { return co.chunkSize }
 
 // Stats snapshots the coordinator's counters.
@@ -376,68 +347,19 @@ func outcomesDigest(outs []*scenario.Outcome) uint64 {
 	return h.Sum64()
 }
 
-// plan partitions jobs into shards by rendezvous hashing and splits each
-// shard into chunks, reusing the pooled scratch. The partition is a pure
-// function of (seed, shards): chunking changes only the scheduling
-// granularity, never which shard a job belongs to or the job-order fold.
+// plan tiles jobs into contiguous chunks of at most chunkSize, in job order,
+// reusing the pooled scratch. A chunk's payload is a sub-slice of jobs —
+// nothing is copied — and its outcomes commit at buffered[first:].
 func (co *Coordinator) plan(jobs []scenario.Job) {
+	size := co.chunkSize
+	if size <= 0 {
+		size = len(jobs)
+	}
 	sc := &co.scratch
-	if cap(sc.byShard) < len(co.keys) {
-		sc.byShard = make([][]int, len(co.keys))
-	}
-	sc.byShard = sc.byShard[:len(co.keys)]
-	for s := range sc.byShard {
-		sc.byShard[s] = sc.byShard[s][:0]
-	}
-	for i, j := range jobs {
-		s := shardOf(jobHash(j), co.keys)
-		sc.byShard[s] = append(sc.byShard[s], i)
-	}
-	if cap(sc.payload) < len(jobs) {
-		sc.payload = make([]scenario.Job, len(jobs))
-	}
-	sc.payload = sc.payload[:len(jobs)]
-	n := 0
-	for _, idxs := range sc.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		if co.chunkSize <= 0 {
-			n++
-			continue
-		}
-		n += (len(idxs) + co.chunkSize - 1) / co.chunkSize
-	}
-	if cap(sc.chunks) < n {
-		sc.chunks = make([]chunkState, 0, n)
-	}
 	sc.chunks = sc.chunks[:0]
-	if cap(sc.queue) < n {
-		sc.queue = make([]*chunkState, 0, n)
+	for first := 0; first < len(jobs); first += size {
+		sc.chunks = append(sc.chunks, chunkState{first: first, jobs: jobs[first:min(first+size, len(jobs))]})
 	}
-	sc.queue = sc.queue[:0]
-	pos := 0
-	for s, idxs := range sc.byShard {
-		for a := 0; a < len(idxs); {
-			b := len(idxs)
-			if co.chunkSize > 0 && a+co.chunkSize < b {
-				b = a + co.chunkSize
-			}
-			part := idxs[a:b]
-			payload := sc.payload[pos : pos+len(part)]
-			for k, gi := range part {
-				payload[k] = jobs[gi]
-			}
-			pos += len(part)
-			sc.chunks = append(sc.chunks, chunkState{shard: s, idxs: part, jobs: payload})
-			a = b
-		}
-	}
-	// The pointers are taken only after sc.chunks stopped growing.
-	for i := range sc.chunks {
-		sc.queue = append(sc.queue, &sc.chunks[i])
-	}
-	sort.Sort(sc)
 }
 
 // attemptResult is one finished chunk execution, success or not.
@@ -454,10 +376,10 @@ type attemptResult struct {
 	cancelled bool
 }
 
-// ExecuteJobsStream implements scenario.StreamingExecutor: partition into
-// shards and chunks, pull-dispatch the chunks across the live fleet, and
-// fold the contiguous job-order prefix out through sink as chunks commit,
-// releasing outcome memory behind the watermark.
+// ExecuteJobsStream implements scenario.StreamingExecutor: tile the jobs
+// into chunks, pull-dispatch the chunks across the live fleet, and fold the
+// contiguous job-order prefix out through sink as chunks commit, releasing
+// outcome memory behind the watermark.
 //
 // Scheduling is a single event loop: idle workers pull the next chunk from
 // the queue (window permitting); when the queue drains and workers idle, the
@@ -469,9 +391,8 @@ type attemptResult struct {
 // the fold contract, so it is a hard error rather than a coin flip. (The
 // check is opportunistic by construction: a cancelled loser that aborts
 // verified nothing, one that returns is verified.) Workers whose retries
-// exhaust are
-// marked dead and their in-flight chunks requeued, preferring replacement
-// workers that already hold a compiled session.
+// exhaust are marked dead and their in-flight chunks requeued, preferring
+// replacement workers that already hold a compiled session.
 func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Job, sink func(first int, outs []*scenario.Outcome) error) error {
 	if len(jobs) == 0 {
 		return nil
@@ -498,15 +419,15 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 	done := make(chan attemptResult)
 	var (
 		inflight   int // attempts in flight
-		next       int // next undispatched queue position
+		next       int // next undispatched chunk
 		admitted   int // jobs in flight or buffered ahead of the watermark
 		watermark  int // next global job index to fold
 		chunksDone int
 		failErr    error
 	)
 
-	// pick removes and returns the idle worker to dispatch to: warm
-	// (session already compiled) before cold, configuration order as the
+	// pick removes and returns the idle worker to dispatch to: compiled
+	// (session already held) before cold, configuration order as the
 	// tiebreak — the session-affinity rule that keeps reassignment after a
 	// death from recompiling on a cold worker while a warm one is free.
 	pick := func() *workerState {
@@ -517,8 +438,8 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 				continue
 			}
 			bw := sc.idle[best]
-			if ws.warm.Load() != bw.warm.Load() {
-				if ws.warm.Load() {
+			if warm := ws.compiled.Load(); warm != bw.compiled.Load() {
+				if warm {
 					best = i
 				}
 				continue
@@ -541,7 +462,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			c.stolen = true
 			co.steals.Add(1)
 			co.log.Info("speculating straggler chunk",
-				slog.Int("shard", c.shard), slog.Int("jobs", len(c.idxs)),
+				slog.Int("first", c.first), slog.Int("jobs", len(c.jobs)),
 				slog.String("thief", ws.w.Name()))
 		} else {
 			c.started = co.now()
@@ -631,7 +552,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 				return
 			}
 			if failErr == nil {
-				if ctx.Err() != nil || errors.Is(r.err, ErrInvalid) || errors.Is(r.err, ErrShardKey) {
+				if ctx.Err() != nil || errors.Is(r.err, ErrInvalid) || errors.Is(r.err, ErrSeedMismatch) {
 					failErr = r.err
 				} else {
 					co.markDead(r.ws, r.err)
@@ -640,7 +561,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 						r.c.started = time.Time{}
 						sc.requeue = append(sc.requeue, r.c)
 						co.log.Info("requeueing chunk after worker failure",
-							slog.Int("shard", r.c.shard), slog.Int("jobs", len(r.c.idxs)))
+							slog.Int("first", r.c.first), slog.Int("jobs", len(r.c.jobs)))
 					}
 				}
 			}
@@ -656,15 +577,15 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 		if failErr != nil {
 			return // draining; the result is moot
 		}
-		if len(r.outs) != len(r.c.idxs) {
-			failErr = fmt.Errorf("dist: worker %s returned %d outcomes for shard %d chunk's %d jobs",
-				r.ws.w.Name(), len(r.outs), r.c.shard, len(r.c.idxs))
+		if len(r.outs) != len(r.c.jobs) {
+			failErr = fmt.Errorf("dist: worker %s returned %d outcomes for the %d-job chunk at job %d",
+				r.ws.w.Name(), len(r.outs), len(r.c.jobs), r.c.first)
 			return
 		}
 		for k, o := range r.outs {
 			if o == nil {
-				failErr = fmt.Errorf("dist: worker %s returned a nil outcome for shard %d job %d",
-					r.ws.w.Name(), r.c.shard, k)
+				failErr = fmt.Errorf("dist: worker %s returned a nil outcome for job %d",
+					r.ws.w.Name(), r.c.first+k)
 				return
 			}
 		}
@@ -672,8 +593,8 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			// The race's loser: its outcomes must be byte-equal to what the
 			// winner committed, then they are discarded.
 			if !r.c.hasDigest || outcomesDigest(r.outs) != r.c.digest {
-				failErr = fmt.Errorf("dist: worker %s computed different outcomes for shard %d chunk at job %d — workers are nondeterministic, refusing to fold",
-					r.ws.w.Name(), r.c.shard, r.c.idxs[0])
+				failErr = fmt.Errorf("dist: worker %s computed different outcomes for the chunk at job %d — workers are nondeterministic, refusing to fold",
+					r.ws.w.Name(), r.c.first)
 				return
 			}
 			co.specDiscards.Add(1)
@@ -692,9 +613,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 		if r.spec {
 			co.specWins.Add(1)
 		}
-		for k, idx := range r.c.idxs {
-			sc.buffered[idx] = r.outs[k]
-		}
+		copy(sc.buffered[r.c.first:], r.outs)
 		if err := flush(); err != nil {
 			failErr = err
 		}
@@ -705,8 +624,8 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			cancelInflight() // drain fast: moot attempts should not run on
 		}
 		// Dispatch while workers idle and work is available: requeued
-		// chunks first (their jobs are already admitted), then the queue
-		// head window permitting, then speculation on stragglers.
+		// chunks first (their jobs are already admitted), then the next
+		// chunk window permitting, then speculation on stragglers.
 		for failErr == nil && len(sc.idle) > 0 {
 			if n := len(sc.requeue); n > 0 {
 				c := sc.requeue[n-1]
@@ -714,11 +633,11 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 				start(c, pick(), false)
 				continue
 			}
-			if next < len(sc.queue) {
-				c := sc.queue[next]
-				if admitted+len(c.idxs) <= co.window || inflight == 0 {
+			if next < len(sc.chunks) {
+				c := &sc.chunks[next]
+				if admitted+len(c.jobs) <= co.window || inflight == 0 {
 					next++
-					admitted += len(c.idxs)
+					admitted += len(c.jobs)
 					if int64(admitted) > co.peakResident.Load() {
 						co.peakResident.Store(int64(admitted))
 					}
@@ -789,15 +708,13 @@ func (co *Coordinator) ExecuteJobs(ctx context.Context, jobs []scenario.Job) ([]
 
 // executeChunk runs one chunk attempt on one worker under the retry
 // policy, compiling the session on first contact (or after the worker lost
-// it). Streaming workers deliver their outcomes incrementally; the batches
-// are gathered here because commit is all-or-nothing per attempt — the
-// first-complete-wins race and the byte-equality check both need the
-// chunk's result whole.
+// it). The chunk's result comes back whole because commit is all-or-nothing
+// per attempt — the first-complete-wins race and the byte-equality check
+// both need it so.
 func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chunkState, speculative bool) ([]*scenario.Outcome, error) {
 	req := &ExecuteRequest{
 		Session:     co.creq.Session,
-		Shard:       c.shard,
-		ShardKey:    co.keys[c.shard],
+		Seed:        co.creq.Spec.Seed,
 		Jobs:        c.jobs,
 		Speculative: speculative,
 	}
@@ -807,33 +724,14 @@ func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chu
 			return err
 		}
 		co.rpcs.Add(1)
-		var o []*scenario.Outcome
 		var err error
-		if sw, ok := ws.w.(StreamWorker); ok {
-			// emit's slice is the worker's to reuse; only the outcomes it
-			// points to (one slab per wire line) change hands.
-			o = make([]*scenario.Outcome, 0, len(c.jobs))
-			err = sw.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
-				o = append(o, batch...)
-				return nil
-			})
-		} else {
-			o, err = ws.w.Execute(ctx, req)
-		}
+		outs, err = ws.w.Execute(ctx, req)
 		if errors.Is(err, ErrNoSession) {
-			// The worker restarted or evicted us: force a fresh compile
-			// and report transient so the policy retries this chunk here.
-			ws.mu.Lock()
-			ws.compiled = false
-			ws.mu.Unlock()
-			ws.warm.Store(false)
-			return err
+			// The worker restarted or evicted us: force a fresh compile;
+			// the error is transient, so the policy retries this chunk here.
+			ws.compiled.Store(false)
 		}
-		if err != nil {
-			return err
-		}
-		outs = o
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -846,7 +744,7 @@ func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chu
 func (co *Coordinator) ensureCompiled(ctx context.Context, ws *workerState) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if ws.compiled {
+	if ws.compiled.Load() {
 		return nil
 	}
 	if err := ws.w.Compile(ctx, co.creq); err != nil {
@@ -855,8 +753,7 @@ func (co *Coordinator) ensureCompiled(ctx context.Context, ws *workerState) erro
 	co.compiles.Add(1)
 	co.log.Debug("worker compiled session",
 		slog.String("worker", ws.w.Name()), slog.String("session", co.creq.Session))
-	ws.compiled = true
-	ws.warm.Store(true)
+	ws.compiled.Store(true)
 	return nil
 }
 

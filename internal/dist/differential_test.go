@@ -61,7 +61,7 @@ func runDist(tb testing.TB, spec *scenario.Spec, st store.Store, cfg Config) (*s
 // to pass: every golden scenario, distributed over in-process fleets of 1,
 // 2, 4 and 8 workers, must reproduce the committed single-process golden
 // report — and timeline CSV, where the spec has one — byte for byte. A diff
-// here means sharding, the wire encoding, or the fold changed observable
+// here means chunking, the wire encoding, or the fold changed observable
 // semantics, not just internals.
 func TestDistGoldenByteIdentity(t *testing.T) {
 	specs, err := filepath.Glob(filepath.Join("..", "scenario", "testdata", "*.spec.json"))
@@ -126,8 +126,9 @@ func TestDistGoldenByteIdentity(t *testing.T) {
 }
 
 // TestDistMatchesLocalRun extends byte-identity to a jittered eager spec:
-// per-instance float64 loads exercise the load-bits job encoding and spread
-// jobs across many shards.
+// per-instance float64 loads exercise the load-bits job encoding, and odd
+// chunk sizes put the chunk boundaries everywhere in the job order — with
+// and without a worker dying mid-run.
 func TestDistMatchesLocalRun(t *testing.T) {
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
@@ -137,17 +138,23 @@ func TestDistMatchesLocalRun(t *testing.T) {
 	}
 	want := marshalReport(t, local)
 	for _, fleet := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 3, 16} {
-			for _, chunk := range []int{0, 3} {
-				cfg := Config{Workers: localFleet(fleet), Shards: shards, ChunkSize: chunk}
+		for _, chunk := range []int{1, 2, 7, 0} {
+			for _, death := range []bool{false, true} {
+				if death && fleet == 1 {
+					continue // nobody would survive to finish the run
+				}
+				cfg := Config{Workers: localFleet(fleet), ChunkSize: chunk, Retry: fastRetry()}
 				if chunk != 0 {
 					cfg.Window = 4
 					cfg.StealAfter = 20 * time.Millisecond
 				}
+				if death {
+					cfg.Workers[fleet-1] = &dyingWorker{Worker: cfg.Workers[fleet-1], dieAfter: 1}
+				}
 				rep, _ := runDist(t, spec, st, cfg)
 				if got := marshalReport(t, rep); !bytes.Equal(got, want) {
-					t.Errorf("fleet %d, shards %d, chunk %d: distributed report != local run\ngot:\n%s\nwant:\n%s",
-						fleet, shards, chunk, got, want)
+					t.Errorf("fleet %d, chunk %d, death %v: distributed report != local run\ngot:\n%s\nwant:\n%s",
+						fleet, chunk, death, got, want)
 				}
 			}
 		}
@@ -204,7 +211,7 @@ func (l *latchedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*sc
 }
 
 // bigJitteredSpec has enough distinct jobs that every worker in a fleet of
-// four receives several shards in one ExecuteJobs round.
+// four receives several small chunks in one ExecuteJobs round.
 func bigJitteredSpec() *scenario.Spec {
 	spec := jitteredSpec()
 	spec.Name = "dist-jitter-big"
@@ -214,8 +221,8 @@ func bigJitteredSpec() *scenario.Spec {
 }
 
 // TestDistWorkerKillReassignment is the failure half of the differential
-// contract: a worker that dies mid-run loses its shards to the survivors,
-// the shards are recomputed, and the merged report is still byte-identical
+// contract: a worker that dies mid-run loses its chunks to the survivors,
+// the chunks are recomputed, and the merged report is still byte-identical
 // to the no-failure run.
 func TestDistWorkerKillReassignment(t *testing.T) {
 	st := seedStore(t, "mdsim", "sleep")
@@ -230,8 +237,11 @@ func TestDistWorkerKillReassignment(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"defaults", Config{Shards: 12, Retry: fastRetry()}},
-		{"chunked", Config{Shards: 12, Retry: fastRetry(), ChunkSize: 2,
+		// The spec's one dispatch is smaller than the default chunk, so even
+		// "defaults" (speculation and window) picks a chunk size that gives
+		// the dying worker a second chunk to die on.
+		{"defaults", Config{Retry: fastRetry(), ChunkSize: 3}},
+		{"chunked", Config{Retry: fastRetry(), ChunkSize: 2,
 			StealAfter: 20 * time.Millisecond, Window: 6}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
@@ -253,7 +263,7 @@ func TestDistWorkerKillReassignment(t *testing.T) {
 				t.Errorf("worker failures = %d, want 1: %+v", s.WorkerFailures, s)
 			}
 			if s.RecomputedChunks == 0 {
-				t.Errorf("no shards recomputed after the kill: %+v", s)
+				t.Errorf("no chunks recomputed after the kill: %+v", s)
 			}
 			if s.LiveWorkers != 3 {
 				t.Errorf("live workers = %d, want 3: %+v", s.LiveWorkers, s)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func fastRetry() *retry.Policy {
 
 // jitteredSpec is an eager (clusterless) spec whose per-instance loads are
 // arbitrary float64 draws — the adversarial input for the load-bits wire
-// encoding and the rendezvous partition.
+// encoding.
 func jitteredSpec() *scenario.Spec {
 	return &scenario.Spec{
 		Version:       scenario.SpecVersion,
@@ -97,72 +99,43 @@ func jitteredSpec() *scenario.Spec {
 	}
 }
 
-func TestShardKeysStable(t *testing.T) {
-	a := ShardKeys(99, 16)
-	b := ShardKeys(99, 16)
-	if len(a) != 16 {
-		t.Fatalf("len = %d, want 16", len(a))
-	}
-	seen := make(map[uint64]bool)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("shard key %d not stable: %#x vs %#x", i, a[i], b[i])
+// TestPlanTilesJobsInOrder pins the dispatch plan: for any job count and
+// chunk size the chunks tile [0,n) exactly once in ascending order, none
+// exceeds the chunk size, and each payload is a window onto the caller's
+// slice — no copy.
+func TestPlanTilesJobsInOrder(t *testing.T) {
+	st := seedStore(t, "mdsim", "sleep")
+	co := mustCoordinator(t, jitteredSpec(), st, Config{Workers: localFleet(1)})
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(5001)
+		if trial < 10 {
+			n = trial / 5 // every chunk-size case at n = 0 and n = 1
 		}
-		if seen[a[i]] {
-			t.Fatalf("duplicate shard key %#x", a[i])
+		jobs := make([]scenario.Job, n)
+		size := []int{1, max(n, 1), n + 1, -1, 1 + rng.Intn(300)}[trial%5]
+		co.chunkSize = size
+		co.plan(jobs)
+		limit := size
+		if size < 0 {
+			limit = n // one chunk per dispatch
 		}
-		seen[a[i]] = true
-	}
-	c := ShardKeys(100, 16)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("different seeds produced identical shard keys")
-	}
-}
-
-// TestShardPartitionDeterministic pins the property byte-identity rests on:
-// the job→shard map depends only on (seed, shard count), never on the fleet,
-// and every shard gets work when there are many more jobs than shards.
-func TestShardPartitionDeterministic(t *testing.T) {
-	keys := ShardKeys(7, 8)
-	hit := make([]int, len(keys))
-	for w := 0; w < 40; w++ {
-		for l := 0; l < 25; l++ {
-			j := scenario.Job{Workload: w, Machine: "m", LoadBits: uint64(l) * 0x9e3779b97f4a7c15}
-			s := shardOf(jobHash(j), keys)
-			if s < 0 || s >= len(keys) {
-				t.Fatalf("shardOf out of range: %d", s)
+		next := 0
+		for i := range co.scratch.chunks {
+			c := &co.scratch.chunks[i]
+			if c.first != next {
+				t.Fatalf("n %d, chunk size %d: chunk %d starts at %d, want %d", n, size, i, c.first, next)
 			}
-			if again := shardOf(jobHash(j), keys); again != s {
-				t.Fatalf("shardOf not deterministic: %d vs %d", s, again)
+			if len(c.jobs) == 0 || len(c.jobs) > limit {
+				t.Fatalf("n %d, chunk size %d: chunk %d holds %d jobs", n, size, i, len(c.jobs))
 			}
-			hit[s]++
+			if &c.jobs[0] != &jobs[c.first] {
+				t.Fatalf("n %d, chunk size %d: chunk %d's payload is a copy", n, size, i)
+			}
+			next += len(c.jobs)
 		}
-	}
-	for s, n := range hit {
-		if n == 0 {
-			t.Errorf("shard %d got no jobs out of 1000 (degenerate partition)", s)
-		}
-	}
-}
-
-func TestJobHashDistinguishesFields(t *testing.T) {
-	base := scenario.Job{Workload: 1, Machine: "stampede", LoadBits: 42}
-	variants := []scenario.Job{
-		{Workload: 2, Machine: "stampede", LoadBits: 42},
-		{Workload: 1, Machine: "comet", LoadBits: 42},
-		{Workload: 1, Machine: "stampede", LoadBits: 43},
-		{Workload: 1, Machine: "", LoadBits: 42},
-	}
-	h := jobHash(base)
-	for i, v := range variants {
-		if jobHash(v) == h {
-			t.Errorf("variant %d hashes identically to base", i)
+		if next != n {
+			t.Fatalf("n %d, chunk size %d: chunks cover [0,%d)", n, size, next)
 		}
 	}
 }
@@ -177,7 +150,7 @@ func TestSessionsEviction(t *testing.T) {
 	ss := newSessions(2)
 	ctx := context.Background()
 	for _, id := range []string{"s1", "s2", "s3"} {
-		if _, err := ss.compile(ctx, &CompileRequest{Session: id, Spec: spec, Profiles: profs, Shards: 4}, 1); err != nil {
+		if _, err := ss.compile(ctx, &CompileRequest{Session: id, Spec: spec, Profiles: profs}, 1); err != nil {
 			t.Fatalf("compile %s: %v", id, err)
 		}
 	}
@@ -193,7 +166,7 @@ func TestSessionsEviction(t *testing.T) {
 		}
 	}
 	// Recompiling a held session must not count as a new insertion.
-	if _, err := ss.compile(ctx, &CompileRequest{Session: "s3", Spec: spec, Profiles: profs, Shards: 4}, 1); err != nil {
+	if _, err := ss.compile(ctx, &CompileRequest{Session: "s3", Spec: spec, Profiles: profs}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ss.get("s2"); err != nil {
@@ -213,18 +186,14 @@ func TestSessionsExecuteValidation(t *testing.T) {
 	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "nope"}); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("unknown session: %v, want ErrNoSession", err)
 	}
-	if _, err := ss.compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 4}, 1); err != nil {
+	if _, err := ss.compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs}, 1); err != nil {
 		t.Fatal(err)
 	}
-	keys := ShardKeys(spec.Seed, 4)
-	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "s", Shard: -1, ShardKey: keys[0]}); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("negative shard: %v, want ErrInvalid", err)
+	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "s", Seed: spec.Seed + 1}); !errors.Is(err, ErrSeedMismatch) {
+		t.Fatalf("mismatched seed: %v, want ErrSeedMismatch", err)
 	}
-	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[0]}); !errors.Is(err, ErrShardKey) {
-		t.Fatalf("mismatched shard key: %v, want ErrShardKey", err)
-	}
-	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[1]}); err != nil {
-		t.Fatalf("well-formed empty shard: %v", err)
+	if _, err := ss.execute(ctx, &ExecuteRequest{Session: "s", Seed: spec.Seed}); err != nil {
+		t.Fatalf("well-formed empty chunk: %v", err)
 	}
 }
 
@@ -268,10 +237,65 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := co.Shards(); got != 12 {
-		t.Fatalf("default shards = %d, want 4× fleet = 12", got)
+	if got := co.ChunkSize(); got != defaultChunkSize {
+		t.Fatalf("default chunk size = %d, want %d", got, defaultChunkSize)
 	}
 	if s := co.Stats(); s.LiveWorkers != 3 || s.Jobs != 0 {
 		t.Fatalf("fresh stats = %+v", s)
 	}
+}
+
+// skewedWorker compiles the coordinator's session under a different seed —
+// the two sides disagreeing about (spec, seed) — and passes executes through.
+type skewedWorker struct {
+	Worker
+	executes atomic.Int64
+}
+
+func (w *skewedWorker) Compile(ctx context.Context, req *CompileRequest) error {
+	skewed := *req
+	spec := *req.Spec
+	spec.Seed++
+	skewed.Spec = &spec
+	return w.Worker.Compile(ctx, &skewed)
+}
+
+func (w *skewedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+	w.executes.Add(1)
+	return w.Worker.Execute(ctx, req)
+}
+
+// assertSeedMismatchTerminal runs a coordinator against a worker whose
+// session compiled a different seed: the handshake must refuse the first
+// chunk, and the refusal is terminal — no retry, the worker is not marked
+// dead, and nothing reaches the fold.
+func assertSeedMismatchTerminal(t *testing.T, inner Worker) {
+	t.Helper()
+	st := seedStore(t, "mdsim", "sleep")
+	spec := jitteredSpec()
+	w := &skewedWorker{Worker: inner}
+	co := mustCoordinator(t, spec, st, Config{Workers: []Worker{w}, Retry: fastRetry()})
+	folded := 0
+	err := co.ExecuteJobsStream(context.Background(), make([]scenario.Job, 5), func(_ int, outs []*scenario.Outcome) error {
+		folded += len(outs)
+		return nil
+	})
+	if !errors.Is(err, ErrSeedMismatch) {
+		t.Fatalf("err = %v, want ErrSeedMismatch", err)
+	}
+	if n := w.executes.Load(); n != 1 {
+		t.Errorf("worker saw %d execute calls, want 1 (a seed mismatch is not retried)", n)
+	}
+	if folded != 0 {
+		t.Errorf("%d outcomes folded past a seed mismatch", folded)
+	}
+	if s := co.Stats(); s.WorkerFailures != 0 || s.LiveWorkers != 1 {
+		t.Errorf("seed mismatch marked the worker dead: %+v", s)
+	}
+}
+
+// TestSeedMismatchTerminal is the handshake through LocalWorker, the
+// protocol with the transport removed; TestHTTPSeedMismatch is the wire's.
+func TestSeedMismatchTerminal(t *testing.T) {
+	assertSeedMismatchTerminal(t, NewLocalWorker("local", 1))
 }

@@ -119,10 +119,10 @@ func totalArrivals(spec *scenario.Spec) int {
 }
 
 // TestDistConservation is the distributed property test: across random
-// (spec, fleet size, shard count, injected worker failure) draws,
+// (spec, fleet size, scheduling config, injected worker failure) draws,
 //
 //   - identity: the distributed report is byte-identical to the local
-//     single-process run — fleet size, shard count and mid-run worker
+//     single-process run — fleet size, chunk size and mid-run worker
 //     deaths all invisible;
 //   - conservation: emulations + dropped == total arrivals, and (when
 //     clustered) placements == emulations + killed — distribution loses
@@ -149,7 +149,6 @@ func TestDistConservation(t *testing.T) {
 		fleetSize := 1 + rng.Intn(4)
 		cfg := Config{
 			Workers: localFleet(fleetSize),
-			Shards:  1 + rng.Intn(9),
 			Retry:   fastRetry(),
 			// The whole scheduling config space must be invisible in the
 			// report: chunked / unchunked, speculation off / adaptive /
@@ -160,15 +159,15 @@ func TestDistConservation(t *testing.T) {
 		}
 		injected := false
 		if fleetSize > 1 && rng.Intn(2) == 0 {
-			// Replace one worker with one that dies after a few shards.
+			// Replace one worker with one that dies after a few chunks.
 			injected = true
 			idx := rng.Intn(fleetSize)
 			cfg.Workers[idx] = &dyingWorker{Worker: cfg.Workers[idx], dieAfter: rng.Intn(3)}
 		}
 		rep, co := runDist(t, spec, st, cfg)
 		if got := marshalReport(t, rep); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (fleet %d, shards %d, failure %v): distributed report diverged\ngot:\n%s\nwant:\n%s",
-				trial, fleetSize, cfg.Shards, injected, got, want)
+			t.Fatalf("trial %d (fleet %d, chunk %d, failure %v): distributed report diverged\ngot:\n%s\nwant:\n%s",
+				trial, fleetSize, cfg.ChunkSize, injected, got, want)
 		}
 
 		if got, want := rep.Emulations+rep.Dropped, totalArrivals(spec); got != want {
@@ -180,10 +179,10 @@ func TestDistConservation(t *testing.T) {
 				trial, rep.Cluster.Placements, rep.Emulations, rep.Killed)
 		}
 		// An injected death may or may not fire (the draw controls how many
-		// shards the worker survives), but a death with no recomputation
-		// would mean its shards were silently lost.
+		// chunks the worker survives), but a death with no recomputation
+		// would mean its chunks were silently lost.
 		if s := co.Stats(); s.WorkerFailures > 0 && s.RecomputedChunks == 0 {
-			t.Errorf("trial %d: worker died but no shards were recomputed: %+v", trial, s)
+			t.Errorf("trial %d: worker died but no chunks were recomputed: %+v", trial, s)
 		}
 	}
 }

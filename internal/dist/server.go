@@ -16,10 +16,10 @@ import (
 // codes httpsvc owns (overloaded, draining). The code, not the message, is
 // the contract: HTTPWorker rebuilds the sentinel errors from them.
 const (
-	CodeInvalid   = "invalid"
-	CodeNoSession = "no_session"
-	CodeShardKey  = "shard_key"
-	CodeInternal  = "internal"
+	CodeInvalid      = "invalid"
+	CodeNoSession    = "no_session"
+	CodeSeedMismatch = "seed_mismatch"
+	CodeInternal     = "internal"
 )
 
 // HealthResponse is the /v1/healthz body: the stack's base block plus the
@@ -40,8 +40,8 @@ type ServerConfig struct {
 	// MaxSessions bounds held compile sessions; the oldest is evicted
 	// past the cap (0 = 4). Coordinators recover via no_session.
 	MaxSessions int
-	// StreamBatch is the outcome-batch granularity of streaming execute
-	// responses — one NDJSON line per about this many outcomes (0 = 64).
+	// StreamBatch is the outcome-batch granularity of execute responses —
+	// one NDJSON line per about this many outcomes (0 = 64).
 	StreamBatch int
 }
 
@@ -50,7 +50,7 @@ type ServerConfig struct {
 // structured errors, graceful drain — see docs/service.md):
 //
 //	POST /v1/compile   compile a session (CompileRequest -> CompileResponse)
-//	POST /v1/execute   execute one shard (ExecuteRequest -> ExecuteResponse)
+//	POST /v1/execute   execute one chunk (ExecuteRequest -> NDJSON StreamChunk lines)
 //
 // It installs no admission policy: every request queues and sheds alike.
 type WorkerServer struct {
@@ -110,7 +110,7 @@ var wireErrors = []struct {
 	status int
 }{
 	{ErrNoSession, CodeNoSession, http.StatusNotFound},
-	{ErrShardKey, CodeShardKey, http.StatusConflict},
+	{ErrSeedMismatch, CodeSeedMismatch, http.StatusConflict},
 	{errTooLarge, httpsvc.CodeTooLarge, http.StatusRequestEntityTooLarge},
 	{ErrInvalid, CodeInvalid, http.StatusBadRequest},
 }
@@ -150,16 +150,15 @@ func (s *WorkerServer) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sess, err := s.local.sessions.compile(r.Context(), &req, s.local.workers)
+	runner, err := s.local.sessions.compile(r.Context(), &req, s.local.workers)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	s.Logger().Info("session compiled",
 		slog.String("session", req.Session),
-		slog.Int("workloads", len(req.Spec.Workloads)),
-		slog.Int("shards", req.Shards))
-	httpsvc.WriteJSON(w, http.StatusOK, CompileResponse{Session: req.Session, Seed: sess.runner.Seed()})
+		slog.Int("workloads", len(req.Spec.Workloads)))
+	httpsvc.WriteJSON(w, http.StatusOK, CompileResponse{Session: req.Session, Seed: runner.Seed()})
 }
 
 func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -172,10 +171,10 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %d jobs in one execute request, limit %d", ErrInvalid, len(req.Jobs), maxExecuteJobs))
 		return
 	}
-	// Validate before producing anything: session and shard-key failures
-	// must surface as proper statuses even on the streaming path, where
-	// mid-run errors can only travel in-band.
-	sess, err := s.local.sessions.lookup(&req)
+	// Validate before producing anything: session and seed failures must
+	// surface as proper statuses; once the stream is open, errors can only
+	// travel in-band.
+	runner, err := s.local.sessions.lookup(&req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -184,20 +183,9 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if req.Speculative {
 		s.specRun.Inc()
 	}
-	if !req.Stream {
-		outs, err := sess.runner.ExecuteJobs(r.Context(), req.Jobs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		s.jobsRun.Add(int64(len(req.Jobs)))
-		httpsvc.WriteJSON(w, http.StatusOK, ExecuteResponse{Packed: packOutcomes(nil, outs)})
-		return
-	}
-	// Streaming: one NDJSON StreamChunk line per outcome batch (packed into
-	// one buffer reused line to line), flushed as the runner's reorder
-	// buffer releases the contiguous prefix, then a terminal done (or
-	// in-band error) line.
+	// One NDJSON StreamChunk line per outcome batch (packed into one buffer
+	// reused line to line), flushed as the runner's reorder buffer releases
+	// the contiguous prefix, then a terminal done (or in-band error) line.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	// The RED middleware wraps w; the controller unwraps to the real flusher.
@@ -205,7 +193,7 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	streamed := 0
 	var packed []byte
-	err = sess.runner.ExecuteJobsStream(r.Context(), req.Jobs, s.streamBatch, func(outs []*scenario.Outcome) error {
+	err = runner.ExecuteJobsStream(r.Context(), req.Jobs, s.streamBatch, func(outs []*scenario.Outcome) error {
 		packed = packOutcomes(packed[:0], outs)
 		if err := enc.Encode(StreamChunk{Packed: packed}); err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -67,10 +68,10 @@ func TestHTTPByteIdentity(t *testing.T) {
 	}
 }
 
-// TestHTTPShardKeyMismatch: a coordinator whose (seed, shards) disagrees
-// with the worker's compiled session must be refused with ErrShardKey —
-// 409 on the wire — before any outcome folds.
-func TestHTTPShardKeyMismatch(t *testing.T) {
+// TestHTTPSeedMismatch: a coordinator whose seed disagrees with the worker's
+// compiled session must be refused with ErrSeedMismatch — 409 seed_mismatch
+// on the wire, terminal for the coordinator — before any outcome folds.
+func TestHTTPSeedMismatch(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
@@ -81,17 +82,60 @@ func TestHTTPShardKeyMismatch(t *testing.T) {
 	_, base := startServer(t, ServerConfig{})
 	w := NewHTTPWorker(base, nil)
 	ctx := context.Background()
-	req := &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 4}
+	req := &CompileRequest{Session: "s", Spec: spec, Profiles: profs}
 	if err := w.Compile(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	keys := ShardKeys(spec.Seed, 4)
-	_, err = w.Execute(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0] ^ 1})
-	if !errors.Is(err, ErrShardKey) {
-		t.Fatalf("err = %v, want ErrShardKey", err)
+	_, err = w.Execute(ctx, &ExecuteRequest{Session: "s", Seed: spec.Seed ^ 1})
+	if !errors.Is(err, ErrSeedMismatch) {
+		t.Fatalf("err = %v, want ErrSeedMismatch", err)
 	}
-	if _, err := w.Execute(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0]}); err != nil {
-		t.Fatalf("matching key refused: %v", err)
+	resp, er := postJSON(t, base+"/v1/execute", fmt.Sprintf(`{"session":"s","seed":%d}`, spec.Seed^1))
+	if resp.StatusCode != http.StatusConflict || er.Code != CodeSeedMismatch {
+		t.Errorf("mismatched seed on the wire = %d/%q, want 409/%q", resp.StatusCode, er.Code, CodeSeedMismatch)
+	}
+	if _, err := w.Execute(ctx, &ExecuteRequest{Session: "s", Seed: spec.Seed}); err != nil {
+		t.Fatalf("matching seed refused: %v", err)
+	}
+	assertSeedMismatchTerminal(t, w)
+}
+
+// TestHTTPExecuteAlwaysStreams: /v1/execute has one response shape. A request
+// that asks for nothing in particular — no "stream" field, as any client
+// sends — is answered in NDJSON, done line included.
+func TestHTTPExecuteAlwaysStreams(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st := seedStore(t, "mdsim", "sleep")
+	spec := jitteredSpec()
+	profs, err := scenario.ResolveProfiles(context.Background(), spec, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := startServer(t, ServerConfig{Workers: 1})
+	if err := NewHTTPWorker(base, nil).Compile(context.Background(), &CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"session":"s","seed":%d,"jobs":[{"w":0,"load_bits":0},{"w":1,"load_bits":0}]}`, spec.Seed)
+	resp, err := http.Post(base+"/v1/execute", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("execute answered %d %q, want 200 application/x-ndjson", resp.StatusCode, ct)
+	}
+	var last StreamChunk
+	outcomes := 0
+	for dec := json.NewDecoder(resp.Body); ; {
+		var line StreamChunk
+		if err := dec.Decode(&line); err != nil {
+			break
+		}
+		outcomes += len(line.Packed) / recordSize
+		last = line
+	}
+	if !last.Done || last.N != 2 || outcomes != 2 {
+		t.Errorf("stream ended with %+v after %d outcomes, want a done line counting 2", last, outcomes)
 	}
 }
 
@@ -168,7 +212,7 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	}{
 		{"/v1/compile", "{not json", http.StatusBadRequest, CodeInvalid},
 		{"/v1/compile", `{"session":"s"}`, http.StatusBadRequest, CodeInvalid},
-		{"/v1/execute", `{"session":"ghost","shard":0}`, http.StatusNotFound, CodeNoSession},
+		{"/v1/execute", `{"session":"ghost"}`, http.StatusNotFound, CodeNoSession},
 	}
 	for _, tc := range cases {
 		resp, er := postJSON(t, base+tc.path, tc.body)

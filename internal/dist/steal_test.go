@@ -14,8 +14,7 @@ import (
 
 // slowWorker delays every Execute by a fixed amount and ignores
 // cancellation — a straggler that always delivers, so the coordinator's
-// late-loser verification path actually runs. It deliberately does not
-// implement StreamWorker, so it also exercises the non-streaming fallback.
+// late-loser verification path actually runs.
 type slowWorker struct {
 	Worker
 	delay time.Duration
@@ -72,6 +71,10 @@ func (c *countingWorker) Compile(ctx context.Context, req *CompileRequest) error
 	return c.Worker.Compile(ctx, req)
 }
 
+// twoChunks is the chunk size that tiles an eager spec's one dispatch into
+// exactly two chunks: half the distinct jobs (local.Replays), rounded up.
+func twoChunks(local *scenario.Report) int { return (local.Replays + 1) / 2 }
+
 // slowFailWorker compiles fine but fails every Execute after a delay — a
 // worker that accepts a session and then takes its chunks down with it.
 type slowFailWorker struct {
@@ -106,8 +109,7 @@ func TestDistStealRaceFirstCompleteWins(t *testing.T) {
 	fleet := []Worker{slow, NewLocalWorker("fast", 2)}
 	rep, co := runDist(t, spec, st, Config{
 		Workers:    fleet,
-		Shards:     2,
-		ChunkSize:  -1, // one chunk per shard: at most one chunk per worker
+		ChunkSize:  twoChunks(local), // at most one chunk per worker
 		StealAfter: 30 * time.Millisecond,
 	})
 	if got := marshalReport(t, rep); !bytes.Equal(got, want) {
@@ -144,8 +146,7 @@ func TestDistStealCancelsLoser(t *testing.T) {
 	t0 := time.Now()
 	rep, co := runDist(t, spec, st, Config{
 		Workers:    fleet,
-		Shards:     2,
-		ChunkSize:  -1,
+		ChunkSize:  twoChunks(local),
 		StealAfter: 30 * time.Millisecond,
 	})
 	if elapsed := time.Since(t0); elapsed >= slow.delay {
@@ -174,13 +175,16 @@ func TestDistStealCancelsLoser(t *testing.T) {
 func TestDistStealNondeterminismDetected(t *testing.T) {
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
+	local, err := scenario.Run(context.Background(), spec, st, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	evil := &evilWorker{slowWorker{Worker: NewLocalWorker("evil", 2), delay: 400 * time.Millisecond}}
 	fleet := []Worker{evil, NewLocalWorker("fast", 2)}
 	ctx := context.Background()
 	co, err := NewCoordinator(ctx, spec, st, Config{
 		Workers:    fleet,
-		Shards:     2,
-		ChunkSize:  -1,
+		ChunkSize:  twoChunks(local),
 		StealAfter: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -212,9 +216,8 @@ func TestDistAffinityPrefersWarmWorker(t *testing.T) {
 	fleet := []Worker{dying, NewLocalWorker("warm", 2), cold}
 	rep, co := runDist(t, spec, st, Config{
 		Workers:    fleet,
-		Shards:     2,
-		ChunkSize:  -1, // exactly one chunk per shard: w2 gets no initial work
-		StealAfter: -1, // isolate reassignment from speculation
+		ChunkSize:  twoChunks(local), // exactly two chunks: w2 gets no initial work
+		StealAfter: -1,               // isolate reassignment from speculation
 		Retry:      fastRetry(),
 	})
 	if got := marshalReport(t, rep); !bytes.Equal(got, want) {
@@ -252,7 +255,6 @@ func TestDistStreamingWindowBoundsResidency(t *testing.T) {
 	const chunk, window = 4, 8
 	cfg := Config{
 		Workers:    localFleet(2),
-		Shards:     8,
 		ChunkSize:  chunk,
 		Window:     window,
 		StealAfter: -1,
@@ -294,7 +296,7 @@ func TestDistStreamingWindowBoundsResidency(t *testing.T) {
 // per-instant dispatches do not churn the heap.
 func TestDistPlanAllocFree(t *testing.T) {
 	st := seedStore(t, "mdsim", "sleep")
-	co := mustCoordinator(t, jitteredSpec(), st, Config{Workers: localFleet(2), Shards: 8, ChunkSize: 3})
+	co := mustCoordinator(t, jitteredSpec(), st, Config{Workers: localFleet(2), ChunkSize: 3})
 	jobs := make([]scenario.Job, 100)
 	for i := range jobs {
 		jobs[i] = scenario.Job{

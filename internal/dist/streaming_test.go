@@ -17,27 +17,19 @@ import (
 	"synapse/internal/testutil"
 )
 
-// shardJobs hand-builds n distinct jobs that rendezvous into the given
-// shard, so a wire test can execute one shard directly.
-func shardJobs(tb testing.TB, keys []uint64, shard, n int) []scenario.Job {
-	tb.Helper()
-	var jobs []scenario.Job
-	for l := 1; len(jobs) < n; l++ {
-		if l > 10_000 {
-			tb.Fatalf("could not find %d jobs for shard %d", n, shard)
-		}
-		j := scenario.Job{Workload: 0, LoadBits: math.Float64bits(0.001 * float64(l))}
-		if shardOf(jobHash(j), keys) == shard {
-			jobs = append(jobs, j)
-		}
+// distinctJobs hand-builds n distinct jobs of workload 0, so a wire test can
+// execute one chunk directly.
+func distinctJobs(n int) []scenario.Job {
+	jobs := make([]scenario.Job, n)
+	for i := range jobs {
+		jobs[i] = scenario.Job{Workload: 0, LoadBits: math.Float64bits(0.001 * float64(i+1))}
 	}
 	return jobs
 }
 
-// TestHTTPStreamingExecute pins the NDJSON streaming wire path: a streaming
-// execute against a real daemon arrives as multiple outcome lines plus a
-// terminal done line, and the concatenated batches are exactly what the
-// plain execute path returns.
+// TestHTTPStreamingExecute pins the NDJSON wire path: an execute against a
+// real daemon arrives as multiple outcome lines plus a terminal done line,
+// and the concatenated batches are exactly what Execute gathers.
 func TestHTTPStreamingExecute(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
@@ -51,11 +43,10 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	_, base := startServer(t, ServerConfig{Workers: 1, StreamBatch: 2})
 	w := NewHTTPWorker(base, nil)
 	ctx := context.Background()
-	if err := w.Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}); err != nil {
+	if err := w.Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
 		t.Fatal(err)
 	}
-	keys := ShardKeys(spec.Seed, 2)
-	req := &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 6)}
+	req := &ExecuteRequest{Session: "s", Seed: spec.Seed, Jobs: distinctJobs(6)}
 
 	want, err := w.Execute(ctx, req)
 	if err != nil {
@@ -75,25 +66,25 @@ func TestHTTPStreamingExecute(t *testing.T) {
 		t.Errorf("stream arrived in %d batches, want 3 (6 jobs, 2 per line)", batches)
 	}
 	if !bytes.Equal(packOutcomes(nil, got), packOutcomes(nil, want)) {
-		t.Errorf("streamed outcomes differ from plain execute\nstream: %+v\nplain:  %+v", got, want)
+		t.Errorf("streamed outcomes differ from the gathered execute\nstream: %+v\ngather: %+v", got, want)
 	}
 
 	// Pre-stream validation failures must come back as proper statuses with
-	// sentinel codes, exactly like the non-streaming path.
+	// sentinel codes, not as in-band error lines.
 	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "ghost"}, func([]*scenario.Outcome) error { return nil })
 	if !errors.Is(err, ErrNoSession) {
 		t.Errorf("unknown session over stream: %v, want ErrNoSession", err)
 	}
-	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0] ^ 1}, func([]*scenario.Outcome) error { return nil })
-	if !errors.Is(err, ErrShardKey) {
-		t.Errorf("mismatched shard key over stream: %v, want ErrShardKey", err)
+	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "s", Seed: spec.Seed ^ 1}, func([]*scenario.Outcome) error { return nil })
+	if !errors.Is(err, ErrSeedMismatch) {
+		t.Errorf("mismatched seed over stream: %v, want ErrSeedMismatch", err)
 	}
 }
 
 // TestStreamClientFallbackAndTruncation covers the client against servers
-// that cannot stream: a plain-JSON answer degrades to a single emit, and an
-// NDJSON stream that ends without a done line is an error, never a silently
-// short result.
+// that do not speak the protocol: a 200 that is not NDJSON is refused — there
+// is no second response shape to fall back to — and an NDJSON stream that
+// ends without a done line is an error, never a silently short result.
 func TestStreamClientFallbackAndTruncation(t *testing.T) {
 	ctx := context.Background()
 	emitCount := 0
@@ -101,14 +92,15 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 
 	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&ExecuteResponse{})
+		fmt.Fprintln(w, `{"packed":""}`)
 	}))
 	defer legacy.Close()
-	if err := NewHTTPWorker(legacy.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect); err != nil {
-		t.Errorf("plain-JSON fallback: %v", err)
+	err := NewHTTPWorker(legacy.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
+	if err == nil || !strings.Contains(err.Error(), "not NDJSON") {
+		t.Errorf("plain-JSON 200: err = %v, want it refused as not NDJSON", err)
 	}
-	if emitCount != 1 {
-		t.Errorf("fallback emitted %d times, want 1", emitCount)
+	if emitCount != 0 {
+		t.Errorf("a refused response emitted %d times, want 0", emitCount)
 	}
 
 	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -116,7 +108,7 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 		fmt.Fprintln(w, `{"packed":""}`) // a batch line, then EOF: no done line
 	}))
 	defer cut.Close()
-	err := NewHTTPWorker(cut.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
+	err = NewHTTPWorker(cut.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("cut stream: err = %v, want truncation error", err)
 	}
@@ -193,11 +185,10 @@ func TestHTTPStreamingFlushesPerBatch(t *testing.T) {
 	}()
 
 	ctx := context.Background()
-	if err := NewHTTPWorker(ts.URL, nil).Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}); err != nil {
+	if err := NewHTTPWorker(ts.URL, nil).Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
 		t.Fatal(err)
 	}
-	keys := ShardKeys(spec.Seed, 2)
-	body, _ := json.Marshal(&ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 3), Stream: true})
+	body, _ := json.Marshal(&ExecuteRequest{Session: "s", Seed: spec.Seed, Jobs: distinctJobs(3)})
 	// The client runs beside the test: without per-batch flushing not even
 	// the response headers arrive before the handler returns.
 	lines := make(chan StreamChunk, 8) // 3 outcome lines + done, never blocks the reader

@@ -6,15 +6,14 @@ import (
 	"sync"
 
 	"synapse/internal/scenario"
-	"synapse/internal/sim"
 	"synapse/internal/store"
 )
 
 // Worker is one fleet member as the coordinator sees it: compile a session,
-// execute shards against it. Implementations: LocalWorker (in-process),
+// execute chunks against it. Implementations: LocalWorker (in-process),
 // HTTPWorker (a synapse-worker daemon). The contract is purity — Execute's
 // outcomes depend only on the compiled (spec, profiles) and the jobs, so
-// the coordinator may send any shard to any worker, in any order, any
+// the coordinator may send any chunk to any worker, in any order, any
 // number of times.
 type Worker interface {
 	// Name identifies the worker in logs and errors.
@@ -27,25 +26,6 @@ type Worker interface {
 	Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error)
 }
 
-// StreamWorker is a Worker that can stream a chunk's outcomes back in
-// contiguous job-order batches as they complete, instead of one response
-// body — the transport face of the streaming partial fold. emit is called
-// serially; its batches concatenate to exactly Execute's result. The
-// outcomes change hands with the call, the slice carrying them does not:
-// the worker may reuse it for the next batch. The coordinator uses the
-// streaming face when available and falls back to Execute otherwise, so
-// wrappers and old workers keep working.
-type StreamWorker interface {
-	Worker
-	ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error
-}
-
-// session is one compiled scenario held by a worker.
-type session struct {
-	runner *scenario.JobRunner
-	shards int
-}
-
 // sessions is the bounded session table shared by LocalWorker and
 // WorkerServer: compile registers, execute looks up, and the oldest session
 // is evicted past the cap (coordinators recover from eviction via
@@ -53,19 +33,19 @@ type session struct {
 type sessions struct {
 	mu    sync.Mutex
 	max   int
-	byID  map[string]*session
-	order []string // insertion order, for eviction
+	byID  map[string]*scenario.JobRunner // one compiled scenario per session
+	order []string                       // insertion order, for eviction
 }
 
 func newSessions(max int) *sessions {
 	if max <= 0 {
 		max = 4
 	}
-	return &sessions{max: max, byID: make(map[string]*session)}
+	return &sessions{max: max, byID: make(map[string]*scenario.JobRunner)}
 }
 
 // compile validates req, builds the runner, and registers the session.
-func (ss *sessions) compile(ctx context.Context, req *CompileRequest, workers int) (*session, error) {
+func (ss *sessions) compile(ctx context.Context, req *CompileRequest, workers int) (*scenario.JobRunner, error) {
 	if req.Session == "" {
 		return nil, fmt.Errorf("%w: empty session id", ErrInvalid)
 	}
@@ -91,7 +71,6 @@ func (ss *sessions) compile(ctx context.Context, req *CompileRequest, workers in
 	if err != nil {
 		return nil, fmt.Errorf("%w: compile: %v", ErrInvalid, err)
 	}
-	s := &session{runner: runner, shards: req.Shards}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if _, ok := ss.byID[req.Session]; !ok {
@@ -101,16 +80,16 @@ func (ss *sessions) compile(ctx context.Context, req *CompileRequest, workers in
 			ss.order = ss.order[1:]
 		}
 	}
-	ss.byID[req.Session] = s
-	return s, nil
+	ss.byID[req.Session] = runner
+	return runner, nil
 }
 
 // get returns the session or ErrNoSession.
-func (ss *sessions) get(id string) (*session, error) {
+func (ss *sessions) get(id string) (*scenario.JobRunner, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if s, ok := ss.byID[id]; ok {
-		return s, nil
+	if r, ok := ss.byID[id]; ok {
+		return r, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 }
@@ -122,46 +101,32 @@ func (ss *sessions) len() int {
 	return len(ss.byID)
 }
 
-// lookup resolves an execute request to its session, enforcing the
-// determinism handshake: the coordinator's shard key must match the one
-// this worker derives from its own compiled seed. Validation happens here,
-// before any outcome is produced, so streaming responses can still fail
-// with a proper pre-stream status.
-func (ss *sessions) lookup(req *ExecuteRequest) (*session, error) {
-	s, err := ss.get(req.Session)
+// lookup resolves an execute request to its session's runner, enforcing the
+// determinism handshake: the coordinator's seed must be the one this worker
+// compiled. Validation happens here, before any outcome is produced, so the
+// server can still fail with a proper pre-stream status.
+func (ss *sessions) lookup(req *ExecuteRequest) (*scenario.JobRunner, error) {
+	r, err := ss.get(req.Session)
 	if err != nil {
 		return nil, err
 	}
-	if req.Shard < 0 {
-		return nil, fmt.Errorf("%w: negative shard %d", ErrInvalid, req.Shard)
+	if seed := r.Seed(); req.Seed != seed {
+		return nil, fmt.Errorf("%w: request carries seed %d, this worker compiled %d (differing spec or seed)",
+			ErrSeedMismatch, req.Seed, seed)
 	}
-	if want := sim.StreamN(s.runner.Seed(), shardPrefix, req.Shard); req.ShardKey != want {
-		return nil, fmt.Errorf("%w: shard %d key %#x, this worker derives %#x (differing spec, seed, or shard count)",
-			ErrShardKey, req.Shard, req.ShardKey, want)
-	}
-	return s, nil
+	return r, nil
 }
 
 // execute runs one chunk against a held session.
 func (ss *sessions) execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	s, err := ss.lookup(req)
+	r, err := ss.lookup(req)
 	if err != nil {
 		return nil, err
 	}
-	return s.runner.ExecuteJobs(ctx, req.Jobs)
+	return r.ExecuteJobs(ctx, req.Jobs)
 }
 
-// executeStream runs one chunk, emitting outcomes in contiguous job-order
-// batches of about batch as the runner's fan-out completes them.
-func (ss *sessions) executeStream(ctx context.Context, req *ExecuteRequest, batch int, emit func(outs []*scenario.Outcome) error) error {
-	s, err := ss.lookup(req)
-	if err != nil {
-		return err
-	}
-	return s.runner.ExecuteJobsStream(ctx, req.Jobs, batch, emit)
-}
-
-// LocalWorker executes shards in process: the worker protocol with the
+// LocalWorker executes chunks in process: the worker protocol with the
 // transport removed. Tests and single-host fan-out use it directly; it is
 // also the execution core WorkerServer serves over HTTP.
 type LocalWorker struct {
@@ -188,10 +153,4 @@ func (w *LocalWorker) Compile(ctx context.Context, req *CompileRequest) error {
 // Execute implements Worker.
 func (w *LocalWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
 	return w.sessions.execute(ctx, req)
-}
-
-// ExecuteStream implements StreamWorker: the transport-free streaming path,
-// emitting straight from the runner's reorder buffer.
-func (w *LocalWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
-	return w.sessions.executeStream(ctx, req, 0, emit)
 }

@@ -65,8 +65,9 @@ type workloadState struct {
 	killed  int
 }
 
-// compiled is a spec resolved against a store and ready to schedule:
-// emulation handles built, cluster constructed, instances enumerated.
+// compiled is a spec resolved against a store: emulation handles built,
+// cluster constructed and — once enumerate has run, which only scheduling
+// needs — instances enumerated.
 type compiled struct {
 	spec  *Spec
 	wls   []*workloadState
@@ -75,13 +76,13 @@ type compiled struct {
 }
 
 // compile resolves the spec: the cluster (when modeled) with its seeded
-// placement stream, each workload's profile and reusable emulation
+// placement stream, and each workload's profile and reusable emulation
 // handles — one per machine the workload could land on, which with an
-// events block includes machines only event-added nodes bring — and the
-// deterministic instance enumeration from each workload's named stream.
-// With buildRuns false the emulation handles are skipped: an external
-// Executor owns the compute, and this process only needs the scheduling
-// view (cluster, instances, resolved profiles).
+// events block includes machines only event-added nodes bring. It draws no
+// instances, so its cost follows the spec's text, not its instance count —
+// a worker compiles whatever a coordinator sends. With buildRuns false the
+// emulation handles are skipped: an external Executor owns the compute, and
+// this process only needs the scheduling view (cluster, resolved profiles).
 func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*compiled, error) {
 	c := &compiled{spec: spec}
 
@@ -167,14 +168,17 @@ func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*
 		}
 		c.wls[i] = ws
 	}
+	return c, nil
+}
 
-	// Enumerate: draw every workload's instances (arrival times for open
-	// loops, per-instance load) from its seeded named stream. Instances
-	// live in chunked arenas — pointers into a chunk stay valid because a
-	// full chunk is retired, never regrown — so a million-instance mix
-	// costs thousands of allocations instead of one per instance. The
-	// batched reader serves the stream's exact draw sequence, so the
-	// enumeration stays bit-identical to per-draw RNG calls.
+// enumerate draws every workload's instances (arrival times for open loops,
+// per-instance load) from its seeded named stream — the half of compilation
+// only a scheduling run needs. Instances live in chunked arenas — pointers
+// into a chunk stay valid because a full chunk is retired, never regrown —
+// so a million-instance mix costs thousands of allocations instead of one
+// per instance. The batched reader serves the stream's exact draw sequence,
+// so the enumeration stays bit-identical to per-draw RNG calls.
+func (c *compiled) enumerate() {
 	var chunk []instance
 	alloc := func(in instance) *instance {
 		if len(chunk) == cap(chunk) {
@@ -184,8 +188,8 @@ func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*
 		return &chunk[len(chunk)-1]
 	}
 	for i, ws := range c.wls {
-		rng := stats.NewBatch(stats.NewRNG(sim.Stream(spec.Seed, "workload/"+ws.spec.Name)))
-		ws.enumerate(spec, i, rng, func(v instance) {
+		rng := stats.NewBatch(stats.NewRNG(sim.Stream(c.spec.Seed, "workload/"+ws.spec.Name)))
+		ws.enumerate(c.spec, i, rng, func(v instance) {
 			in := alloc(v)
 			in.idx = len(ws.insts)
 			in.node = -1
@@ -193,7 +197,6 @@ func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*
 			c.insts = append(c.insts, in)
 		})
 	}
-	return c, nil
 }
 
 // instChunk is the instance-arena chunk capacity: large enough that arena

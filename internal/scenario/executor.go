@@ -17,8 +17,8 @@ import (
 // Job identifies one distinct replay in a scenario run: instances of one
 // workload with the same effective load on the same machine share a single
 // deterministic emulation, and a Job names that equivalence class. Jobs are
-// the unit of distributed execution — the coordinator ships them to workers,
-// which resolve them against their own compilation of the same spec. Load
+// what distributed execution ships — the coordinator sends them to workers in
+// chunks, which resolve them against their own compilation of the same spec. Load
 // travels as raw float bits so the wire never rounds it: two processes must
 // agree bit-for-bit on the job identity or they are not running the same
 // scenario.
@@ -86,47 +86,6 @@ type StreamingExecutor interface {
 	ExecuteJobsStream(ctx context.Context, jobs []Job, sink func(first int, outs []*Outcome) error) error
 }
 
-// localExecutor resolves jobs against this process's compiled run handles,
-// fanning the batch across the configured workers.
-type localExecutor struct {
-	c       *compiled
-	workers int
-}
-
-// ExecuteJobs resolves the batch into one slab of outcomes and hands out
-// pointers into it: one allocation per call, not one per job.
-func (e localExecutor) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
-	slab := make([]Outcome, len(jobs))
-	return exp.Fan(e.workers, len(jobs), nil, func(j int) (*Outcome, error) {
-		if err := e.executeJob(ctx, jobs[j], &slab[j]); err != nil {
-			return nil, err
-		}
-		return &slab[j], nil
-	})
-}
-
-// executeJob resolves one job against the compiled run handles into o.
-func (e localExecutor) executeJob(ctx context.Context, job Job, o *Outcome) error {
-	if job.Workload < 0 || job.Workload >= len(e.c.wls) {
-		return fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
-	}
-	ws := e.c.wls[job.Workload]
-	run := ws.run
-	if job.Machine != "" {
-		run = ws.runs[job.Machine]
-	}
-	if run == nil {
-		return fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
-			ws.spec.Name, job.Machine)
-	}
-	rep, err := run.EmulateWithLoad(ctx, job.Load())
-	if err != nil {
-		return err
-	}
-	o.set(rep)
-	return nil
-}
-
 // ResolveProfiles resolves every workload's profile reference through st,
 // in spec order — the same profile Run would pick (the newest match per
 // key). Distributed coordinators use it to ship the exact emulation inputs
@@ -147,12 +106,13 @@ func ResolveProfiles(ctx context.Context, spec *Spec, st store.Store) ([]*profil
 	return profs, nil
 }
 
-// JobRunner is the worker side of distributed execution: one spec compiled
-// against a store, holding reusable emulation handles for every machine an
-// instance could land on, ready to execute any shard's jobs. A runner built
-// from the same (spec, profiles) on any host produces bit-identical
-// outcomes, so a coordinator may hand the same job to any worker — or to a
-// replacement after a failure — without perturbing the merged report.
+// JobRunner resolves jobs against one spec's compiled emulation handles —
+// one per machine an instance could land on — fanning each batch across its
+// workers. It is Run's default executor and the worker side of distributed
+// execution: a runner built from the same (spec, profiles) on any host
+// produces bit-identical outcomes, so a coordinator may hand the same job
+// to any worker — or to a replacement after a failure — without perturbing
+// the merged report.
 type JobRunner struct {
 	c       *compiled
 	workers int
@@ -160,7 +120,8 @@ type JobRunner struct {
 
 // NewJobRunner compiles spec against st (profiles must already be present)
 // and returns a runner executing up to workers replays concurrently
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS). It enumerates no instances: a runner costs the same
+// whatever instance count the spec declares.
 func NewJobRunner(ctx context.Context, spec *Spec, st store.Store, workers int) (*JobRunner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -175,17 +136,51 @@ func NewJobRunner(ctx context.Context, spec *Spec, st store.Store, workers int) 
 	return &JobRunner{c: c, workers: workers}, nil
 }
 
-// Seed returns the compiled spec's seed — the root every shard key derives
-// from, echoed in the worker protocol's determinism handshake.
+// Seed returns the compiled spec's seed, what the worker protocol's
+// determinism handshake compares.
 func (r *JobRunner) Seed() uint64 { return r.c.spec.Seed }
 
-// ExecuteJobs implements Executor against the runner's compiled handles.
-func (r *JobRunner) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
-	workers := r.workers
-	if workers <= 0 {
-		workers = defaultWorkers()
+// fanOut is the runner's replay concurrency.
+func (r *JobRunner) fanOut() int {
+	if r.workers <= 0 {
+		return defaultWorkers()
 	}
-	return localExecutor{c: r.c, workers: workers}.ExecuteJobs(ctx, jobs)
+	return r.workers
+}
+
+// ExecuteJobs implements Executor: it resolves the batch into one slab of
+// outcomes and hands out pointers into it — one allocation per call, not
+// one per job.
+func (r *JobRunner) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
+	slab := make([]Outcome, len(jobs))
+	return exp.Fan(r.fanOut(), len(jobs), nil, func(j int) (*Outcome, error) {
+		if err := r.executeJob(ctx, jobs[j], &slab[j]); err != nil {
+			return nil, err
+		}
+		return &slab[j], nil
+	})
+}
+
+// executeJob resolves one job against the compiled run handles into o.
+func (r *JobRunner) executeJob(ctx context.Context, job Job, o *Outcome) error {
+	if job.Workload < 0 || job.Workload >= len(r.c.wls) {
+		return fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(r.c.wls))
+	}
+	ws := r.c.wls[job.Workload]
+	run := ws.run
+	if job.Machine != "" {
+		run = ws.runs[job.Machine]
+	}
+	if run == nil {
+		return fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
+			ws.spec.Name, job.Machine)
+	}
+	rep, err := run.EmulateWithLoad(ctx, job.Load())
+	if err != nil {
+		return err
+	}
+	o.set(rep)
+	return nil
 }
 
 // defaultStreamBatch is the emission granularity ExecuteJobsStream falls
@@ -200,22 +195,17 @@ const defaultStreamBatch = 64
 // batches as they arrive. emit is never called concurrently. Outcomes are
 // released to the consumer: the runner drops its references as it emits.
 func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int, emit func(outs []*Outcome) error) error {
-	workers := r.workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
 	if batch <= 0 {
 		batch = defaultStreamBatch
 	}
-	local := localExecutor{c: r.c, workers: workers}
 	var (
 		mu   sync.Mutex
 		slab = make([]Outcome, len(jobs))  // every outcome of the call, one allocation
 		outs = make([]*Outcome, len(jobs)) // reorder buffer into slab; nil until done and once emitted
 		next int                           // emission watermark
 	)
-	_, err := exp.Fan(workers, len(jobs), nil, func(j int) (struct{}, error) {
-		if err := local.executeJob(ctx, jobs[j], &slab[j]); err != nil {
+	_, err := exp.Fan(r.fanOut(), len(jobs), nil, func(j int) (struct{}, error) {
+		if err := r.executeJob(ctx, jobs[j], &slab[j]); err != nil {
 			return struct{}{}, err
 		}
 		mu.Lock()

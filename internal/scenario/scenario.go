@@ -113,8 +113,9 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	if err != nil {
 		return nil, err
 	}
+	c.enumerate()
 	if exec == nil {
-		exec = localExecutor{c: c, workers: workers}
+		exec = &JobRunner{c: c, workers: workers}
 	}
 
 	// Execute. Without a cluster, emulation is eager: each (workload,

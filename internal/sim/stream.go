@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"hash/fnv"
-	"strconv"
-)
+import "hash/fnv"
 
 // Stream derives a named substream seed from a root seed. Every
 // independent source of randomness in a simulation — each workload's
@@ -24,24 +21,4 @@ func Stream(seed uint64, name string) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// StreamN derives the i'th member of an indexed substream family: exactly
-// Stream(seed, prefix+"/"+i). Families are how one logical stream fans out
-// into an enumerable set — "shard/0", "shard/1", ... — without the members
-// aliasing each other or any singleton stream.
-func StreamN(seed uint64, prefix string, i int) uint64 {
-	return Stream(seed, prefix+"/"+strconv.Itoa(i))
-}
-
-// Streams enumerates the first n members of an indexed substream family, in
-// index order. The slice is a pure function of (seed, prefix, n): the same
-// inputs yield the same keys on every host, which is what lets distributed
-// participants agree on a partition by exchanging nothing but (seed, n).
-func Streams(seed uint64, prefix string, n int) []uint64 {
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = StreamN(seed, prefix, i)
-	}
-	return keys
 }

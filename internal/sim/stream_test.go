@@ -44,38 +44,6 @@ func TestStreamDecorrelates(t *testing.T) {
 	}
 }
 
-// TestStreamFamily: StreamN must be exactly the named-stream derivation of
-// "prefix/i" (distributed participants reconstruct members independently
-// from (seed, prefix, i) alone), Streams must enumerate in index order, and
-// family members must not alias each other, their prefix, or other seeds'
-// families.
-func TestStreamFamily(t *testing.T) {
-	const seed = 42
-	keys := Streams(seed, "shard", 64)
-	seen := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		if want := Stream(seed, fmt.Sprintf("shard/%d", i)); k != want {
-			t.Fatalf("Streams[%d] = %#x, want Stream(seed, \"shard/%d\") = %#x", i, k, i, want)
-		}
-		if k != StreamN(seed, "shard", i) {
-			t.Fatalf("Streams[%d] disagrees with StreamN", i)
-		}
-		if prev, ok := seen[k]; ok {
-			t.Fatalf("family members %d and %d alias: %#x", prev, i, k)
-		}
-		seen[k] = i
-		if k == Stream(seed, "shard") {
-			t.Fatalf("member %d aliases the bare prefix stream", i)
-		}
-		if k == StreamN(seed+1, "shard", i) {
-			t.Fatalf("member %d aliases another seed's family", i)
-		}
-	}
-	if len(Streams(seed, "shard", 0)) != 0 {
-		t.Fatal("Streams(seed, prefix, 0) must be empty")
-	}
-}
-
 // TestStreamStable: the derivation is part of the (spec, seed) determinism
 // contract — pin a few values so an accidental change fails loudly instead
 // of silently remapping every seeded scenario.
