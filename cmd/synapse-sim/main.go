@@ -29,8 +29,8 @@
 // schedule stays local and the report stays byte-identical to a
 // single-process run, at any fleet size. Jobs dispatch as contiguous
 // fixed-size chunks (-chunk) that idle workers pull and, past the
-// -steal-after straggler threshold, speculatively re-execute; outcomes
-// stream back and fold incrementally within a bounded -fold-window (see
+// -steal-after straggler threshold, speculatively re-execute; a worker
+// that fails is named on stderr and its chunks move to the survivors (see
 // docs/distributed.md). Reports are deterministic for a fixed spec
 // and seed: same inputs, byte-identical -out file (and byte-identical
 // -trace file). See docs/scenarios.md for the spec format, including the
@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -91,7 +92,6 @@ func run(args []string) error {
 	workersRemote := fs.String("workers-remote", "", "comma-separated synapse-worker addresses (host:port or http://host:port); distributes emulation replays across the fleet")
 	chunk := fs.Int("chunk", 0, "jobs per dispatch chunk for -workers-remote — the unit of work stealing and speculation (0 = 256, negative = one chunk per dispatch)")
 	stealAfter := fs.Duration("steal-after", 0, "straggler threshold for -workers-remote: in-flight chunks older than this are speculatively re-executed on idle workers (0 = adapt to observed p95 chunk latency, negative = disable speculation)")
-	foldWindow := fs.Int("fold-window", 0, "fold window for -workers-remote: max jobs in flight or buffered ahead of the streaming fold (0 = 4096)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (host:port) for the run's duration")
@@ -198,7 +198,9 @@ func run(args []string) error {
 			Workers:    fleet,
 			ChunkSize:  *chunk,
 			StealAfter: *stealAfter,
-			Window:     *foldWindow,
+			// Warnings only: a worker marked dead is the one event a
+			// successful fleet run must not swallow.
+			Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 		})
 		if err != nil {
 			return err
@@ -215,8 +217,6 @@ func run(args []string) error {
 			return fmt.Errorf("-chunk requires -workers-remote")
 		case *stealAfter != 0:
 			return fmt.Errorf("-steal-after requires -workers-remote")
-		case *foldWindow != 0:
-			return fmt.Errorf("-fold-window requires -workers-remote")
 		}
 	}
 	var traceFile *os.File

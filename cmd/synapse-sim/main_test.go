@@ -520,3 +520,65 @@ func TestSimInterruptCancelsRemoteWork(t *testing.T) {
 		t.Error("worker handler never saw its request context cancelled: the RPC was orphaned")
 	}
 }
+
+// TestSimNamesDeadWorker: a fleet member that is down must not fail the run
+// and must not go unnoticed — its chunks move to the survivor, the report
+// stays byte-identical to the local one, and the coordinator's warning
+// naming the dead address reaches stderr.
+func TestSimNamesDeadWorker(t *testing.T) {
+	storeDir, specPath := setup(t)
+	dir := t.TempDir()
+	localOut, distOut := filepath.Join(dir, "local.json"), filepath.Join(dir, "dist.json")
+
+	var buf bytes.Buffer
+	stdout = &buf
+	defer func() { stdout = os.Stdout }()
+	if err := run([]string{"-scenario", specPath, "-store", storeDir, "-out", localOut}); err != nil {
+		t.Fatal(err)
+	}
+
+	live := httptest.NewServer(dist.NewServer(dist.ServerConfig{}))
+	defer live.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	dead := gone.URL
+	gone.Close() // the address now refuses connections
+
+	// The logger writes to os.Stderr as run finds it.
+	errFile, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errFile.Close()
+	saved := os.Stderr
+	os.Stderr = errFile
+	// The dead address leads the list and chunks hold one job, so it is
+	// offered work whatever the pick order.
+	err = run([]string{"-scenario", specPath, "-store", storeDir, "-out", distOut,
+		"-workers-remote", dead + "," + live.URL, "-chunk", "1"})
+	os.Stderr = saved
+	if err != nil {
+		t.Fatalf("run with one dead worker of two failed: %v", err)
+	}
+
+	want, err := os.ReadFile(localOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(distOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report with a dead worker diverged from the local run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	logged, err := os.ReadFile(errFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(logged, []byte("worker failed")) || !bytes.Contains(logged, []byte(dead)) {
+		t.Errorf("stderr does not name the failed worker %s:\n%s", dead, logged)
+	}
+	if bytes.Contains(logged, []byte("level=INFO")) {
+		t.Errorf("stderr carries chatter below warn level:\n%s", logged)
+	}
+}

@@ -15,8 +15,8 @@
 // functions of the compiled (spec, profiles) — any worker can serve any
 // chunk, any number of times (the coordinator speculatively re-executes
 // straggler chunks), and the coordinator's merged report is byte-identical
-// to a single-process run. Execute requests get NDJSON responses,
-// -stream-batch outcomes per line. /v1/healthz reports liveness plus the
+// to a single-process run. A chunk is computed, then answered as NDJSON,
+// 64 packed outcomes per line. /v1/healthz reports liveness plus the
 // admission counters, GET /v1/metrics renders Prometheus text exposition
 // (RED middleware plus worker series), and the daemon sheds new chunks and
 // drains in-flight ones on SIGINT/SIGTERM. See docs/distributed.md.
@@ -47,14 +47,13 @@ func main() {
 // worker's own.
 type options struct {
 	*httpsvc.Daemon
-	workers, maxSessions, streamBatch int
+	workers, maxSessions int
 }
 
 func bindFlags(fs *flag.FlagSet) *options {
 	o := &options{Daemon: httpsvc.NewDaemon(fs, stdout, ":9191")}
 	fs.IntVar(&o.workers, "workers", 0, "parallel emulation workers per execute request (0 = all cores)")
 	fs.IntVar(&o.maxSessions, "max-sessions", 4, "compile sessions held before evicting the oldest")
-	fs.IntVar(&o.streamBatch, "stream-batch", 0, "outcomes per NDJSON line of an execute response (0 = 64)")
 	return o
 }
 
@@ -69,7 +68,6 @@ func run(args []string, ready chan<- string) error {
 		Config:      o.Config,
 		Workers:     o.workers,
 		MaxSessions: o.maxSessions,
-		StreamBatch: o.streamBatch,
 	})
 	return o.Serve(srv, ready, slog.Int("workers", o.workers))
 }

@@ -32,7 +32,7 @@ func TestWorkerRoundTrip(t *testing.T) {
 	var runErr error
 	go func() {
 		defer wg.Done()
-		runErr = run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-max-inflight", "5", "-queue", "2", "-stream-batch", "1"}, ready)
+		runErr = run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-max-inflight", "5", "-queue", "2"}, ready)
 	}()
 	var addr string
 	select {
@@ -96,15 +96,6 @@ func TestWorkerRoundTrip(t *testing.T) {
 	if err != nil || len(outs) != 2 {
 		t.Fatalf("execute = %d outcomes, %v; want 2", len(outs), err)
 	}
-	// One emulation worker makes the runner serial, so batch boundaries are
-	// deterministic: 2 jobs at 1 per line.
-	batches := 0
-	if err := w.ExecuteStream(ctx, req, func(o []*scenario.Outcome) error { batches++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if batches != 2 {
-		t.Errorf("-stream-batch 1 streamed 2 jobs in %d lines, want 2", batches)
-	}
 	if h := healthz(); h.Sessions != 1 {
 		t.Errorf("healthz after compile reports %d sessions, want 1", h.Sessions)
 	}
@@ -153,7 +144,7 @@ func TestVersionFlag(t *testing.T) {
 func TestFlagSetUnchanged(t *testing.T) {
 	want := map[string]string{
 		"addr": ":9191", "workers": "0", "max-sessions": "4", "max-inflight": "0",
-		"queue": "0", "request-timeout": "0s", "stream-batch": "0", "pprof": "false",
+		"queue": "0", "request-timeout": "0s", "pprof": "false",
 		"grace": "10s", "log-format": "text", "log-level": "info", "version": "false",
 	}
 	fs := flag.NewFlagSet("synapse-worker", flag.ContinueOnError)

@@ -93,3 +93,53 @@ func TestDocsLinks(t *testing.T) {
 		}
 	}
 }
+
+// docFlag matches a command-line flag as the docs write one: a dash and a
+// lower-case name after a backtick or whitespace (so not the dash inside
+// synapse-sim or first-complete-wins, and not a negative number).
+var docFlag = regexp.MustCompile("[`\\s]-([a-z][a-z-]*)")
+
+// goFlag matches a flag definition on a flag.FlagSet named fs: fs.Int("name",
+// fs.IntVar(&v, "name", and their siblings.
+var goFlag = regexp.MustCompile(`\bfs\.[A-Z]\w*\((?:&[\w.]+, )?"([a-z][a-z-]*)"`)
+
+// TestDocsFlagsExist verifies every flag docs/distributed.md's quick start
+// and tuning table name is defined by synapse-sim, synapse-worker or the
+// shared daemon flag set — a tuning row for a flag that left the binaries
+// fails here instead of misleading an operator.
+func TestDocsFlagsExist(t *testing.T) {
+	defined := map[string]bool{}
+	for _, src := range []string{"cmd/synapse-sim/main.go", "cmd/synapse-worker/main.go", "internal/httpsvc/daemon.go"} {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goFlag.FindAllSubmatch(data, -1) {
+			defined[string(m[1])] = true
+		}
+	}
+	if len(defined) < 20 {
+		t.Fatalf("found only %d flag definitions: the pattern no longer matches how flags are declared", len(defined))
+	}
+	data, err := os.ReadFile("docs/distributed.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, heading := range []string{"## Quick start\n", "### Tuning\n"} {
+		_, section, ok := strings.Cut(string(data), heading)
+		if !ok {
+			t.Fatalf("docs/distributed.md has no %q section", strings.TrimSpace(heading))
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		for _, m := range docFlag.FindAllStringSubmatch(section, -1) {
+			checked++
+			if !defined[m[1]] {
+				t.Errorf("docs/distributed.md %q names -%s, which no binary defines", strings.TrimSpace(heading), m[1])
+			}
+		}
+	}
+	if checked < 8 {
+		t.Errorf("checked only %d flags: the sections or the pattern drifted", checked)
+	}
+}

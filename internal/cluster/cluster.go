@@ -43,6 +43,12 @@ const (
 	PolicyRandom = "random"
 )
 
+// MaxNodes bounds a pool. Node counts — a spec's, and what events and
+// autoscaling add at run time — expand node by node, so unbounded, one count
+// field in a request body asks for arbitrary memory. Three orders of
+// magnitude above the largest pool any workload here models.
+const MaxNodes = 1 << 16
+
 // Spec is the declarative cluster description inside a scenario spec (the
 // "cluster" block), or a standalone JSON file loaded via synapse-sim
 // -cluster. Like the scenario spec it is strict JSON: unknown fields are
@@ -119,6 +125,7 @@ func (s *Spec) validateStructure() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("cluster: no nodes")
 	}
+	total := 0
 	for i := range s.Nodes {
 		n := &s.Nodes[i]
 		if n.Machine == "" {
@@ -127,6 +134,11 @@ func (s *Spec) validateStructure() error {
 		if n.Count < 0 {
 			return fmt.Errorf("cluster: node %d has negative count %d", i, n.Count)
 		}
+		count := max(n.Count, 1)
+		if count > MaxNodes-total {
+			return fmt.Errorf("cluster: node %d (count %d) grows the pool past %d nodes", i, count, MaxNodes)
+		}
+		total += count
 		if n.Cores < 0 {
 			return fmt.Errorf("cluster: node %d has negative cores %d", i, n.Cores)
 		}
@@ -310,9 +322,12 @@ func (c *Cluster) ShapeOf(ns NodeSpec) (cores int, mem int64, err error) {
 
 // AddNodes expands ns into nodes and appends them to the pool (named like
 // New names them: name-0..count-1 when count > 1). New nodes start up and
-// empty. It returns the new node indices; duplicate names fail without
-// mutating the pool.
+// empty. It returns the new node indices; duplicate names, and growth past
+// MaxNodes, fail without mutating the pool.
 func (c *Cluster) AddNodes(ns NodeSpec) ([]int, error) {
+	if count := max(ns.Count, 1); count > MaxNodes-len(c.nodes) {
+		return nil, fmt.Errorf("adding %d nodes to %d grows the pool past %d nodes", count, len(c.nodes), MaxNodes)
+	}
 	m, err := c.ResolveModel(ns.Machine)
 	if err != nil {
 		return nil, err

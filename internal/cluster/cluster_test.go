@@ -408,3 +408,44 @@ func TestExpandNames(t *testing.T) {
 		t.Fatalf("expanded = %v", got)
 	}
 }
+
+// TestMaxNodes pins the pool bound at its boundary, on both ways a pool
+// grows: a spec whose counts sum to MaxNodes validates and one more node does
+// not — refused before anything expands, so an absurd count costs nothing —
+// and AddNodes fills a live pool exactly to MaxNodes, refusing the next node
+// without mutating it.
+func TestMaxNodes(t *testing.T) {
+	full := &Spec{Nodes: []NodeSpec{
+		{Name: "a", Machine: "comet", Count: MaxNodes - 1},
+		{Name: "b", Machine: "comet"}, // count 0 is one node
+	}}
+	if err := full.Validate(); err != nil {
+		t.Fatalf("a spec of exactly MaxNodes nodes refused: %v", err)
+	}
+	over := &Spec{Nodes: append(append([]NodeSpec{}, full.Nodes...), NodeSpec{Name: "c", Machine: "comet"})}
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "node 2 (count 1) grows the pool past 65536") {
+		t.Fatalf("a spec of MaxNodes+1 nodes: err = %v, want the cap named", err)
+	}
+	t0 := time.Now()
+	huge := &Spec{Nodes: []NodeSpec{{Machine: "comet", Count: 1_000_000_000}}}
+	if _, err := New(huge, nil); err == nil || !strings.Contains(err.Error(), "past 65536") {
+		t.Fatalf("a 10⁹-node spec: err = %v, want the cap named", err)
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Errorf("refusing a 10⁹-node spec took %v: it was expanded first", d)
+	}
+
+	c := mustNew(t, twoNodeSpec())
+	if _, err := c.AddNodes(NodeSpec{Name: "fill", Machine: "comet", Count: MaxNodes - 2}); err != nil {
+		t.Fatalf("growing a live pool to exactly MaxNodes refused: %v", err)
+	}
+	if c.Len() != MaxNodes {
+		t.Fatalf("pool holds %d nodes, want %d", c.Len(), MaxNodes)
+	}
+	if _, err := c.AddNodes(NodeSpec{Name: "straw", Machine: "comet"}); err == nil || !strings.Contains(err.Error(), "past 65536") {
+		t.Fatalf("node MaxNodes+1: err = %v, want the cap named", err)
+	}
+	if c.Len() != MaxNodes {
+		t.Fatalf("refused add mutated the pool: %d nodes", c.Len())
+	}
+}

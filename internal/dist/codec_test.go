@@ -255,12 +255,12 @@ func FuzzStreamDecode(f *testing.F) {
 }
 
 // BenchmarkOutcomeCodec measures the wire codec alone: one op packs and
-// unpacks a fold window of 4096 outcomes in stream-batch lines of 64, the
-// shape of one worker response. emulations/s is outcomes through both
-// directions per second (the metric benchguard gates), ns/outcome its
-// inverse; allocs/op is one slab per line.
+// unpacks 4096 outcomes in lines of lineRecords, the shape of a worker's
+// responses. emulations/s is outcomes through both directions per second
+// (the metric benchguard gates), ns/outcome its inverse; allocs/op is one
+// slab per line.
 func BenchmarkOutcomeCodec(b *testing.B) {
-	const window, batch = 4096, 64
+	const window, batch = 4096, lineRecords
 	rng := rand.New(rand.NewSource(7))
 	outs := make([]*scenario.Outcome, batch)
 	for i := range outs {

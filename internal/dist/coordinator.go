@@ -20,11 +20,9 @@ import (
 )
 
 // Dispatch defaults. The chunk is the unit of scheduling, stealing and
-// speculation; the window is the dispatch high-water mark that bounds the
-// coordinator's resident outcomes.
+// speculation.
 const (
 	defaultChunkSize = 256
-	defaultWindow    = 4096
 
 	// The straggler threshold adapts to observed chunk latency, like
 	// storeclnt's request hedge: a stats.LatencyRing of recent successful
@@ -51,22 +49,12 @@ type Config struct {
 	// threshold to the fleet's observed p95 chunk latency; negative
 	// disables speculation.
 	StealAfter time.Duration
-	// Window bounds the coordinator's resident outcomes: new chunks are
-	// dispatched only while the jobs in flight or buffered ahead of the
-	// fold watermark fit it, so peak retained outcomes are O(window), not
-	// O(jobs). 0 picks 4096. One chunk is always admitted, whatever the
-	// window, so progress never deadlocks.
-	Window int
 	// Retry governs each chunk RPC; nil uses retry.Default. Protocol
 	// errors (invalid request, seed mismatch) are always terminal
 	// regardless of the policy's own classifier.
 	Retry *retry.Policy
 	// Logger receives chunk dispatch and failure events. nil discards.
 	Logger *slog.Logger
-	// Metrics, when non-nil, receives the coordinator's instruments
-	// (jobs, chunks, steals, fold watermark, worker failures, live-worker
-	// gauge).
-	Metrics *telemetry.Registry
 
 	// now is the scheduler's clock, replaceable in tests. nil is time.Now.
 	now func() time.Time
@@ -124,16 +112,15 @@ type dispatchScratch struct {
 }
 
 // Coordinator tiles replay jobs into contiguous chunks and pull-dispatches
-// the chunks across the fleet with straggler speculation and a streaming,
-// windowed fold. It implements
-// scenario.StreamingExecutor, so plugging it into
+// the chunks across the fleet — one chunk per idle worker, which is what
+// bounds the work in flight — with straggler speculation and a streaming
+// fold. It implements scenario.StreamingExecutor, so plugging it into
 // scenario.RunOptions.Executor distributes any scenario unchanged.
 type Coordinator struct {
 	creq       *CompileRequest
 	policy     retry.Policy
 	log        *slog.Logger
 	chunkSize  int
-	window     int
 	stealAfter time.Duration
 	now        func() time.Time
 
@@ -146,7 +133,7 @@ type Coordinator struct {
 	// lat is the chunk-latency ring behind the adaptive steal threshold.
 	lat stats.LatencyRing
 
-	// counters (exposed via Stats and, optionally, Config.Metrics)
+	// counters (exposed via Stats)
 	jobs         atomic.Int64
 	rpcs         atomic.Int64
 	failures     atomic.Int64
@@ -157,7 +144,6 @@ type Coordinator struct {
 	specDiscards atomic.Int64
 	compiles     atomic.Int64
 	peakResident atomic.Int64
-	watermark    atomic.Int64
 }
 
 // Stats is a snapshot of the coordinator's counters.
@@ -180,8 +166,8 @@ type Stats struct {
 	// Compiles counts compile RPCs issued fleet-wide — affinity keeps it
 	// near the number of workers that actually received work.
 	Compiles int64 `json:"compiles"`
-	// PeakResident is the dispatch window's high-water mark: the most jobs
-	// simultaneously in flight or buffered ahead of the fold watermark.
+	// PeakResident is the most jobs simultaneously in flight or buffered
+	// ahead of the fold watermark — a measurement, not a limit.
 	PeakResident int64 `json:"peak_resident_outcomes"`
 	// LiveWorkers is the current live fleet size.
 	LiveWorkers int `json:"live_workers"`
@@ -204,13 +190,6 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 	chunk := cfg.ChunkSize
 	if chunk == 0 {
 		chunk = defaultChunkSize
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = defaultWindow
-	}
-	if chunk > 0 && window < chunk {
-		window = chunk
 	}
 	policy := retry.Default()
 	if cfg.Retry != nil {
@@ -245,38 +224,11 @@ func NewCoordinator(ctx context.Context, spec *scenario.Spec, st store.Store, cf
 		policy:     policy,
 		log:        log,
 		chunkSize:  chunk,
-		window:     window,
 		stealAfter: cfg.StealAfter,
 		now:        now,
 	}
 	for i, w := range cfg.Workers {
 		co.workers = append(co.workers, &workerState{w: w, idx: i})
-	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.GaugeFunc("synapse_dist_live_workers",
-			"Workers the coordinator currently considers alive.",
-			func() float64 { return float64(len(co.live())) })
-		reg.GaugeFunc("synapse_dist_jobs_total",
-			"Replay jobs dispatched to the fleet.",
-			func() float64 { return float64(co.jobs.Load()) })
-		reg.GaugeFunc("synapse_dist_shard_rpcs_total",
-			"Chunk executions attempted, retries included.",
-			func() float64 { return float64(co.rpcs.Load()) })
-		reg.GaugeFunc("synapse_dist_worker_failures_total",
-			"Workers marked dead after exhausting their retry policy.",
-			func() float64 { return float64(co.failures.Load()) })
-		reg.GaugeFunc("synapse_dist_chunks_total",
-			"Job chunks dispatched, speculative twins included.",
-			func() float64 { return float64(co.chunks.Load()) })
-		reg.GaugeFunc("synapse_dist_steals_total",
-			"Speculative straggler re-executions dispatched.",
-			func() float64 { return float64(co.steals.Load()) })
-		reg.GaugeFunc("synapse_dist_speculative_wins_total",
-			"Speculative executions that completed before the original.",
-			func() float64 { return float64(co.specWins.Load()) })
-		reg.GaugeFunc("synapse_dist_fold_watermark",
-			"Job index the streaming fold has folded up to in the current dispatch.",
-			func() float64 { return float64(co.watermark.Load()) })
 	}
 	return co, nil
 }
@@ -287,6 +239,12 @@ func (co *Coordinator) ChunkSize() int { return co.chunkSize }
 
 // Stats snapshots the coordinator's counters.
 func (co *Coordinator) Stats() Stats {
+	live := 0
+	for _, ws := range co.workers {
+		if !ws.dead.Load() {
+			live++
+		}
+	}
 	return Stats{
 		Jobs:                co.jobs.Load(),
 		RPCs:                co.rpcs.Load(),
@@ -298,19 +256,8 @@ func (co *Coordinator) Stats() Stats {
 		SpeculativeDiscards: co.specDiscards.Load(),
 		Compiles:            co.compiles.Load(),
 		PeakResident:        co.peakResident.Load(),
-		LiveWorkers:         len(co.live()),
+		LiveWorkers:         live,
 	}
-}
-
-// live returns the live fleet, in configuration order.
-func (co *Coordinator) live() []*workerState {
-	var out []*workerState
-	for _, ws := range co.workers {
-		if !ws.dead.Load() {
-			out = append(out, ws)
-		}
-	}
-	return out
 }
 
 // markDead retires a worker after its retry policy exhausted.
@@ -378,21 +325,21 @@ type attemptResult struct {
 
 // ExecuteJobsStream implements scenario.StreamingExecutor: tile the jobs
 // into chunks, pull-dispatch the chunks across the live fleet, and fold the
-// contiguous job-order prefix out through sink as chunks commit, releasing
-// outcome memory behind the watermark.
+// contiguous job-order prefix out through sink as chunks commit, dropping
+// its own references behind the watermark.
 //
 // Scheduling is a single event loop: idle workers pull the next chunk from
-// the queue (window permitting); when the queue drains and workers idle, the
-// oldest in-flight chunk past the straggler threshold is speculatively
-// re-executed on one of them, first-complete-wins: the first commit cancels
-// the rival attempt, so the straggler stops costing wall clock. A loser
-// that completes despite the cancel has its outcomes asserted byte-equal to
-// the winner's — a mismatch means a worker is nondeterministic, which voids
-// the fold contract, so it is a hard error rather than a coin flip. (The
-// check is opportunistic by construction: a cancelled loser that aborts
-// verified nothing, one that returns is verified.) Workers whose retries
-// exhaust are marked dead and their in-flight chunks requeued, preferring
-// replacement workers that already hold a compiled session.
+// the queue; when the queue drains and workers idle, the oldest in-flight
+// chunk past the straggler threshold is speculatively re-executed on one of
+// them, first-complete-wins: the first commit cancels the rival attempt, so
+// the straggler stops costing wall clock. A loser that completes despite the
+// cancel has its outcomes asserted byte-equal to the winner's — a mismatch
+// means a worker is nondeterministic, which voids the fold contract, so it is
+// a hard error rather than a coin flip. (The check is opportunistic by
+// construction: a cancelled loser that aborts verified nothing, one that
+// returns is verified.) Workers whose retries exhaust are marked dead and
+// their in-flight chunks requeued, preferring replacement workers that
+// already hold a compiled session.
 func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Job, sink func(first int, outs []*scenario.Outcome) error) error {
 	if len(jobs) == 0 {
 		return nil
@@ -414,13 +361,11 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 		}
 	}
 	sc.requeue = sc.requeue[:0]
-	co.watermark.Store(0)
 
 	done := make(chan attemptResult)
 	var (
 		inflight   int // attempts in flight
 		next       int // next undispatched chunk
-		admitted   int // jobs in flight or buffered ahead of the watermark
 		watermark  int // next global job index to fold
 		chunksDone int
 		failErr    error
@@ -523,8 +468,6 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 		if watermark == first {
 			return nil
 		}
-		admitted -= watermark - first
-		co.watermark.Store(int64(watermark))
 		run := sc.buffered[first:watermark]
 		err := sink(first, run)
 		clear(run)
@@ -624,8 +567,7 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			cancelInflight() // drain fast: moot attempts should not run on
 		}
 		// Dispatch while workers idle and work is available: requeued
-		// chunks first (their jobs are already admitted), then the next
-		// chunk window permitting, then speculation on stragglers.
+		// chunks first, then the next chunk, then speculation on stragglers.
 		for failErr == nil && len(sc.idle) > 0 {
 			if n := len(sc.requeue); n > 0 {
 				c := sc.requeue[n-1]
@@ -635,15 +577,14 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			}
 			if next < len(sc.chunks) {
 				c := &sc.chunks[next]
-				if admitted+len(c.jobs) <= co.window || inflight == 0 {
-					next++
-					admitted += len(c.jobs)
-					if int64(admitted) > co.peakResident.Load() {
-						co.peakResident.Store(int64(admitted))
-					}
-					start(c, pick(), false)
-					continue
+				next++
+				// Chunks dispatch in job order, so everything below this
+				// chunk's end and not yet folded is in flight or buffered.
+				if resident := int64(c.first + len(c.jobs) - watermark); resident > co.peakResident.Load() {
+					co.peakResident.Store(resident)
 				}
+				start(c, pick(), false)
+				continue
 			}
 			if co.stealAfter < 0 || inflight == 0 {
 				break
@@ -755,16 +696,4 @@ func (co *Coordinator) ensureCompiled(ctx context.Context, ws *workerState) erro
 		slog.String("worker", ws.w.Name()), slog.String("session", co.creq.Session))
 	ws.compiled.Store(true)
 	return nil
-}
-
-// Run distributes spec across the fleet: it builds a coordinator, plugs it
-// into the scenario engine as the executor, and runs the scenario. The
-// report is byte-identical to scenario.Run with no executor.
-func Run(ctx context.Context, spec *scenario.Spec, st store.Store, cfg Config, opts scenario.RunOptions) (*scenario.Report, error) {
-	co, err := NewCoordinator(ctx, spec, st, cfg)
-	if err != nil {
-		return nil, err
-	}
-	opts.Executor = co
-	return scenario.Run(ctx, spec, st, opts)
 }

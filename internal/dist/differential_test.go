@@ -89,16 +89,15 @@ func TestDistGoldenByteIdentity(t *testing.T) {
 				wantCSV = b
 			}
 			for _, fleet := range []int{1, 2, 4, 8} {
-				// Defaults, then aggressive chunking + speculation + a tiny
-				// streaming window: scheduling config must never reach the
-				// report.
+				// Defaults, then aggressive chunking + speculation:
+				// scheduling config must never reach the report.
 				for _, variant := range []struct {
 					name string
 					cfg  Config
 				}{
 					{"defaults", Config{Workers: localFleet(fleet)}},
 					{"chunked", Config{Workers: localFleet(fleet), ChunkSize: 2,
-						StealAfter: 20 * time.Millisecond, Window: 5}},
+						StealAfter: 20 * time.Millisecond}},
 				} {
 					rep, co := runDist(t, spec, st, variant.cfg)
 					if got := marshalReport(t, rep); !bytes.Equal(got, want) {
@@ -145,7 +144,6 @@ func TestDistMatchesLocalRun(t *testing.T) {
 				}
 				cfg := Config{Workers: localFleet(fleet), ChunkSize: chunk, Retry: fastRetry()}
 				if chunk != 0 {
-					cfg.Window = 4
 					cfg.StealAfter = 20 * time.Millisecond
 				}
 				if death {
@@ -238,11 +236,11 @@ func TestDistWorkerKillReassignment(t *testing.T) {
 		cfg  Config
 	}{
 		// The spec's one dispatch is smaller than the default chunk, so even
-		// "defaults" (speculation and window) picks a chunk size that gives
+		// "defaults" (adaptive speculation) picks a chunk size that gives
 		// the dying worker a second chunk to die on.
 		{"defaults", Config{Retry: fastRetry(), ChunkSize: 3}},
 		{"chunked", Config{Retry: fastRetry(), ChunkSize: 2,
-			StealAfter: 20 * time.Millisecond, Window: 6}},
+			StealAfter: 20 * time.Millisecond}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
 			dying := &dyingWorker{Worker: NewLocalWorker("dying", 2), dieAfter: 1, killed: make(chan struct{})}

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"synapse/internal/httpsvc"
 )
@@ -16,8 +20,9 @@ import (
 // refusal or a 200 echoing the seed of the spec it was sent; compiling the
 // same body again (a duplicate session) must answer the same. The committed
 // seeds under testdata/fuzz/ cover a truncated body, a profile/workload count
-// mismatch, a nil profile, a legacy body still carrying "shards", and a spec
-// declaring 10⁹ instances, which must stay as cheap as any other.
+// mismatch, a nil profile, a legacy body still carrying "shards", a spec
+// declaring 10⁹ instances, which must stay as cheap as any other, and a
+// cluster block declaring 10⁹ nodes, which cluster.MaxNodes refuses.
 func FuzzCompileRequest(f *testing.F) {
 	f.Add([]byte(`{"session":"s"}`))
 	f.Add([]byte(`{not json`))
@@ -31,17 +36,6 @@ func FuzzCompileRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var sent CompileRequest
 		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&sent) == nil // as the handler decodes: first value only
-		if decoded && sent.Spec != nil && sent.Spec.Cluster != nil {
-			// Known gap, not this target's: compile expands a cluster block
-			// node by node and nothing bounds a node spec's count yet.
-			nodes := 0
-			for _, n := range sent.Spec.Cluster.Nodes {
-				nodes += max(n.Count, 1)
-			}
-			if nodes > 1024 {
-				t.Skip("cluster node count is unbounded")
-			}
-		}
 		status, resp := post(body)
 		if again, _ := post(body); again != status {
 			t.Fatalf("recompiling the same body answered %d, then %d", status, again)
@@ -61,4 +55,29 @@ func FuzzCompileRequest(f *testing.F) {
 			t.Fatalf("status %d with body %q, want a structured %s or %s", status, resp, CodeInvalid, httpsvc.CodeTooLarge)
 		}
 	})
+}
+
+// TestCompileRefusesBillionNodes puts the cluster-billion-nodes seed on the
+// clock: one count field asking for 10⁹ nodes is refused as invalid, naming
+// the cap, before anything is expanded.
+func TestCompileRefusesBillionNodes(t *testing.T) {
+	data, err := os.ReadFile("testdata/fuzz/FuzzCompileRequest/cluster-billion-nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\n") // after the "go test fuzz v1" header
+	body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil || !strings.Contains(body, `"count":1000000000`) {
+		t.Fatalf("seed is not the 10⁹-node body: %v\n%s", err, lit)
+	}
+	w := httptest.NewRecorder()
+	t0 := time.Now()
+	NewServer(ServerConfig{Workers: 1}).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/compile", strings.NewReader(body)))
+	if d := time.Since(t0); d > time.Second {
+		t.Errorf("answering took %v, want well under a second", d)
+	}
+	er, ok := httpsvc.DecodeError(w.Body.Bytes())
+	if w.Code != http.StatusBadRequest || !ok || er.Code != CodeInvalid || !strings.Contains(er.Error, "past 65536 nodes") {
+		t.Errorf("answer = %d %s, want a structured invalid naming the node cap", w.Code, w.Body.Bytes())
+	}
 }

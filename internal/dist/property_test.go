@@ -152,10 +152,9 @@ func TestDistConservation(t *testing.T) {
 			Retry:   fastRetry(),
 			// The whole scheduling config space must be invisible in the
 			// report: chunked / unchunked, speculation off / adaptive /
-			// hair-trigger, and windows down to the deadlock-escape regime.
+			// hair-trigger.
 			ChunkSize:  []int{0, -1, 1 + rng.Intn(4)}[rng.Intn(3)],
 			StealAfter: []time.Duration{-1, 0, 5 * time.Millisecond}[rng.Intn(3)],
-			Window:     []int{0, 2 + rng.Intn(10)}[rng.Intn(2)],
 		}
 		injected := false
 		if fleetSize > 1 && rng.Intn(2) == 0 {

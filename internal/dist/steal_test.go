@@ -239,50 +239,26 @@ func TestDistAffinityPrefersWarmWorker(t *testing.T) {
 // engine down the collect-everything ExecuteJobs path.
 type plainExecutor struct{ scenario.Executor }
 
-// TestDistStreamingWindowBoundsResidency is the streaming-fold memory test:
-// with a job set much larger than the window, the dispatch window bounds the
-// coordinator's peak resident outcomes, and the report is byte-identical to
-// both the local run and the non-streaming executor path.
-func TestDistStreamingWindowBoundsResidency(t *testing.T) {
+// TestDistPlainAndStreamingFacesAgree: the same coordinator behind a plain
+// Executor (streaming face hidden) produces, through the collect path, the
+// report its streaming face and the local run produce — byte for byte.
+func TestDistPlainAndStreamingFacesAgree(t *testing.T) {
 	st := seedStore(t, "mdsim", "sleep")
-	spec := bigJitteredSpec() // 36 jobs, far more than the window below
+	spec := bigJitteredSpec() // 36 jobs: nine chunks across two workers
 	local, err := scenario.Run(context.Background(), spec, st, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := marshalReport(t, local)
 
-	const chunk, window = 4, 8
-	cfg := Config{
-		Workers:    localFleet(2),
-		ChunkSize:  chunk,
-		Window:     window,
-		StealAfter: -1,
-	}
-	rep, co := runDist(t, spec, st, cfg)
+	cfg := Config{Workers: localFleet(2), ChunkSize: 4, StealAfter: -1}
+	rep, _ := runDist(t, spec, st, cfg)
 	if got := marshalReport(t, rep); !bytes.Equal(got, want) {
-		t.Errorf("windowed streaming report diverged from local run\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	s := co.Stats()
-	if s.Jobs <= window {
-		t.Fatalf("spec too small to exercise the window: %d jobs", s.Jobs)
-	}
-	// Chunks may be admitted past the window when the fold stalls on an
-	// undispatched chunk (the deadlock escape), and each escape can overshoot
-	// by up to a chunk — so the guarantee is O(window), pinned here at 2×.
-	if s.PeakResident > 2*window {
-		t.Errorf("peak resident outcomes = %d, want <= 2x window %d", s.PeakResident, window)
-	}
-	if s.PeakResident >= s.Jobs {
-		t.Errorf("peak resident outcomes = %d, not below the %d-job set: window never bounded anything",
-			s.PeakResident, s.Jobs)
+		t.Errorf("streaming report diverged from local run\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	// The same coordinator behind a plain Executor (streaming face hidden)
-	// must produce the identical report through the collect path.
-	ctx := context.Background()
 	co2 := mustCoordinator(t, spec, st, cfg)
-	rep2, err := scenario.Run(ctx, spec, st, scenario.RunOptions{Executor: plainExecutor{co2}})
+	rep2, err := scenario.Run(context.Background(), spec, st, scenario.RunOptions{Executor: plainExecutor{co2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"synapse/internal/scenario"
 	"synapse/internal/testutil"
@@ -28,8 +27,8 @@ func distinctJobs(n int) []scenario.Job {
 }
 
 // TestHTTPStreamingExecute pins the NDJSON wire path: an execute against a
-// real daemon arrives as multiple outcome lines plus a terminal done line,
-// and the concatenated batches are exactly what Execute gathers.
+// real daemon arrives as an outcome line plus a terminal done line, and the
+// concatenated batches are exactly what Execute gathers.
 func TestHTTPStreamingExecute(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
@@ -38,9 +37,7 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One emulation worker makes the runner serial, so the stream's batch
-	// boundaries are deterministic: 6 jobs at 2 per line = 3 lines.
-	_, base := startServer(t, ServerConfig{Workers: 1, StreamBatch: 2})
+	_, base := startServer(t, ServerConfig{Workers: 1})
 	w := NewHTTPWorker(base, nil)
 	ctx := context.Background()
 	if err := w.Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
@@ -62,8 +59,8 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batches != 3 {
-		t.Errorf("stream arrived in %d batches, want 3 (6 jobs, 2 per line)", batches)
+	if batches != 1 {
+		t.Errorf("stream arrived in %d batches, want 1 (6 jobs fit one %d-record line)", batches, lineRecords)
 	}
 	if !bytes.Equal(packOutcomes(nil, got), packOutcomes(nil, want)) {
 		t.Errorf("streamed outcomes differ from the gathered execute\nstream: %+v\ngather: %+v", got, want)
@@ -135,96 +132,72 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 	}
 }
 
-// secondWriteGate parks the handler on its second body write until released:
-// by then the first outcome line has been written and (if the server flushes
-// per batch) pushed to the client, while the handler provably has not
-// returned. Unwrap keeps the real writer's Flusher reachable.
-type secondWriteGate struct {
-	http.ResponseWriter
-	writes  int
-	release <-chan struct{}
-}
-
-func (g *secondWriteGate) Write(b []byte) (int, error) {
-	if g.writes++; g.writes == 2 {
-		<-g.release
-	}
-	return g.ResponseWriter.Write(b)
-}
-
-func (g *secondWriteGate) Unwrap() http.ResponseWriter { return g.ResponseWriter }
-
-// TestHTTPStreamingFlushesPerBatch: the point of NDJSON streaming is that the
-// coordinator folds batches while the worker is still computing, so each
-// outcome line must reach the client when it is emitted — not when the
-// handler returns and net/http flushes its buffer. The handler sits behind
-// the RED middleware's status recorder, which must not hide the Flusher.
-func TestHTTPStreamingFlushesPerBatch(t *testing.T) {
+// TestHTTPExecuteLinesBounded pins the response framing: a chunk larger than
+// a line is answered in lines of at most lineRecords packed records that sum
+// to the job count, closed by a done line echoing it — and the outcomes are
+// the ones the in-process worker computes.
+func TestHTTPExecuteLinesBounded(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
-	profs, err := scenario.ResolveProfiles(context.Background(), spec, st)
+	ctx := context.Background()
+	profs, err := scenario.ResolveProfiles(ctx, spec, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Workers: 1, StreamBatch: 1})
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/execute" {
-			w = &secondWriteGate{ResponseWriter: w, release: release}
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release) // never strand the handler on a failed assertion
-		}
-	}()
+	creq := &CompileRequest{Session: "s", Spec: spec, Profiles: profs}
+	const n = 200
+	req := &ExecuteRequest{Session: "s", Seed: spec.Seed, Jobs: distinctJobs(n)}
 
-	ctx := context.Background()
-	if err := NewHTTPWorker(ts.URL, nil).Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs}); err != nil {
+	local := NewLocalWorker("local", 0)
+	if err := local.Compile(ctx, creq); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(&ExecuteRequest{Session: "s", Seed: spec.Seed, Jobs: distinctJobs(3)})
-	// The client runs beside the test: without per-batch flushing not even
-	// the response headers arrive before the handler returns.
-	lines := make(chan StreamChunk, 8) // 3 outcome lines + done, never blocks the reader
-	go func() {
-		defer close(lines)
-		resp, err := http.Post(ts.URL+"/v1/execute", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Errorf("execute: %v", err)
-			return
-		}
-		defer resp.Body.Close()
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var line StreamChunk
-			if dec.Decode(&line) != nil {
-				return
-			}
-			lines <- line
-		}
-	}()
-	select {
-	case first := <-lines:
-		if len(first.Packed) != recordSize {
-			t.Fatalf("first line = %+v, want one outcome", first)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("first outcome line not readable while the handler is still running: the stream is not flushed per batch")
+	want, err := local.Execute(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	close(release)
+
+	_, base := startServer(t, ServerConfig{})
+	if err := NewHTTPWorker(base, nil).Compile(ctx, creq); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/execute", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
+	}
+	var got []byte
 	var last StreamChunk
-	n := 1
-	for line := range lines {
-		n += len(line.Packed) / recordSize
+	lines := 0
+	for dec := json.NewDecoder(resp.Body); ; lines++ {
+		var line StreamChunk
+		if err := dec.Decode(&line); err != nil {
+			break
+		}
+		if last.Done {
+			t.Errorf("line after the done line: %+v", line)
+		}
+		if len(line.Packed) > lineRecords*recordSize {
+			t.Errorf("line %d packs %d records, limit %d", lines, len(line.Packed)/recordSize, lineRecords)
+		}
+		got = append(got, line.Packed...)
 		last = line
 	}
-	if !last.Done || last.N != 3 || n != 3 {
-		t.Errorf("stream ended with %+v after %d outcomes, want done with 3", last, n)
+	if wantLines := (n+lineRecords-1)/lineRecords + 1; lines != wantLines {
+		t.Errorf("response has %d lines, want %d", lines, wantLines)
+	}
+	if !last.Done || last.N != n || len(got) != n*recordSize {
+		t.Errorf("stream ended with %+v after %d records, want done with n = %d", last, len(got)/recordSize, n)
+	}
+	if !bytes.Equal(got, packOutcomes(nil, want)) {
+		t.Error("records on the wire differ from LocalWorker.Execute's outcomes")
 	}
 }

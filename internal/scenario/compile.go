@@ -29,9 +29,10 @@ type instance struct {
 	// node index and the contention-adjusted effective load.
 	node int
 	eff  float64
-	// tx is the instance's emulation time — measured eagerly without a
-	// cluster, resolved at placement with one; start/done are assigned
-	// by the scheduler.
+	// job is the position of the instance's replay in the run's job table
+	// and tx its emulation time — both known eagerly without a cluster, set
+	// at each placement with one; start/done are assigned by the scheduler.
+	job   int
 	tx    time.Duration
 	start time.Duration
 	done  time.Duration

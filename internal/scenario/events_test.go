@@ -308,6 +308,17 @@ func TestEventValidation(t *testing.T) {
 		{"add duplicate name", func(s *Spec) {
 			s.Events.Timeline[0] = ClusterEvent{Kind: EventAddNodes, Add: &cluster.NodeSpec{Name: "b", Machine: "comet"}}
 		}, `timeline[0]: add_nodes: duplicate node name "b"`},
+		{"add past the node cap", func(s *Spec) {
+			// eventSpec starts with two nodes; the refusal must come before
+			// a billion names are expanded.
+			s.Events.Timeline[0] = ClusterEvent{Kind: EventAddNodes, Add: &cluster.NodeSpec{Name: "c", Machine: "comet", Count: 1_000_000_000}}
+		}, "timeline[0]: add_nodes: 1000000000 more nodes grow the pool past 65536"},
+		{"adds sum past the node cap", func(s *Spec) {
+			s.Events.Timeline = []ClusterEvent{
+				{Kind: EventAddNodes, Add: &cluster.NodeSpec{Name: "c", Machine: "comet", Count: cluster.MaxNodes - 2}},
+				{Kind: EventAddNodes, Add: &cluster.NodeSpec{Name: "d", Machine: "comet"}},
+			}
+		}, "timeline[1]: add_nodes: 1 more nodes grow the pool past 65536"},
 		{"autoscale bad cadence", func(s *Spec) {
 			s.Events.Autoscale = &Autoscale{QueueHigh: 1, Add: cluster.NodeSpec{Machine: "comet"}}
 		}, "autoscale: check_every must be positive"},

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 	"time"
 
-	"synapse/internal/emulator"
 	"synapse/internal/exp"
 	"synapse/internal/perfcount"
 	"synapse/internal/profile"
@@ -52,20 +51,14 @@ type Outcome struct {
 	Consumed perfcount.Counters
 }
 
-// set condenses an emulator report into its fold-relevant outcome.
-func (o *Outcome) set(r *emulator.Report) {
-	o.Tx = r.Tx
-	o.Busy = r.BusyTimes()
-	o.Consumed = r.Consumed
-}
-
 // Executor resolves batches of replay jobs. Run calls it once with every
 // distinct job in eager (clusterless) mode, and once per scheduling instant
 // with that instant's fresh jobs in cluster mode. Outcomes come back in job
 // order. Implementations must be pure: the outcome of a job depends only on
 // the (spec, seed) pair both sides compiled, never on batching, timing or
 // which worker computed it — that invariance is the determinism contract
-// distributed execution is gated on.
+// distributed execution is gated on. An executor must not retain jobs after
+// it returns: cluster mode reuses one batch slice from instant to instant.
 type Executor interface {
 	ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error)
 }
@@ -76,11 +69,9 @@ type Executor interface {
 // index of the batch's first outcome; batches arrive in order and
 // concatenate to exactly one outcome per job. Ownership of the outcomes
 // transfers to the sink — the executor must not touch them after sink
-// returns, which is what lets it release buffered results behind its fold
-// watermark and keep peak resident outcomes bounded by its window rather
-// than by the job count. The outcomes themselves are byte-identical to
-// what ExecuteJobs would return, so folding them incrementally leaves the
-// report unchanged.
+// returns, and drops its own references behind its fold watermark. The
+// outcomes themselves are byte-identical to what ExecuteJobs would return,
+// so folding them incrementally leaves the report unchanged.
 type StreamingExecutor interface {
 	Executor
 	ExecuteJobsStream(ctx context.Context, jobs []Job, sink func(first int, outs []*Outcome) error) error
@@ -140,20 +131,16 @@ func NewJobRunner(ctx context.Context, spec *Spec, st store.Store, workers int) 
 // determinism handshake compares.
 func (r *JobRunner) Seed() uint64 { return r.c.spec.Seed }
 
-// fanOut is the runner's replay concurrency.
-func (r *JobRunner) fanOut() int {
-	if r.workers <= 0 {
-		return defaultWorkers()
-	}
-	return r.workers
-}
-
 // ExecuteJobs implements Executor: it resolves the batch into one slab of
 // outcomes and hands out pointers into it — one allocation per call, not
 // one per job.
 func (r *JobRunner) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
+	workers := r.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	slab := make([]Outcome, len(jobs))
-	return exp.Fan(r.fanOut(), len(jobs), nil, func(j int) (*Outcome, error) {
+	return exp.Fan(workers, len(jobs), nil, func(j int) (*Outcome, error) {
 		if err := r.executeJob(ctx, jobs[j], &slab[j]); err != nil {
 			return nil, err
 		}
@@ -179,63 +166,7 @@ func (r *JobRunner) executeJob(ctx context.Context, job Job, o *Outcome) error {
 	if err != nil {
 		return err
 	}
-	o.set(rep)
-	return nil
-}
-
-// defaultStreamBatch is the emission granularity ExecuteJobsStream falls
-// back to when the caller passes none.
-const defaultStreamBatch = 64
-
-// ExecuteJobsStream executes jobs across the runner's fan-out and emits
-// outcomes in job order as the contiguous prefix completes, at least batch
-// at a time (0 picks a default) except for the final flush. The jobs run in
-// parallel and complete out of order; a reorder buffer holds the gap and
-// emit observes only the in-order view, so a consumer can fold and discard
-// batches as they arrive. emit is never called concurrently. Outcomes are
-// released to the consumer: the runner drops its references as it emits.
-func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int, emit func(outs []*Outcome) error) error {
-	if batch <= 0 {
-		batch = defaultStreamBatch
-	}
-	var (
-		mu   sync.Mutex
-		slab = make([]Outcome, len(jobs))  // every outcome of the call, one allocation
-		outs = make([]*Outcome, len(jobs)) // reorder buffer into slab; nil until done and once emitted
-		next int                           // emission watermark
-	)
-	_, err := exp.Fan(r.fanOut(), len(jobs), nil, func(j int) (struct{}, error) {
-		if err := r.executeJob(ctx, jobs[j], &slab[j]); err != nil {
-			return struct{}{}, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		outs[j] = &slab[j]
-		// Emit the contiguous prefix once it is a full batch deep. Holding
-		// mu serializes emit; the tail below flushes what remains.
-		end := next
-		for end < len(outs) && outs[end] != nil {
-			end++
-		}
-		if end-next >= batch {
-			run := outs[next:end]
-			next = end
-			if err := emit(run); err != nil {
-				return struct{}{}, err
-			}
-			for i := range run {
-				run[i] = nil
-			}
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return err
-	}
-	if next < len(jobs) {
-		if err := emit(outs[next:]); err != nil {
-			return err
-		}
-	}
+	// Condense the report into its fold-relevant outcome.
+	o.Tx, o.Busy, o.Consumed = rep.Tx, rep.BusyTimes(), rep.Consumed
 	return nil
 }

@@ -176,8 +176,8 @@ func (r *reporter) Observe(t time.Duration, ev any) {
 // assemble folds the instance outcomes into the report, in spec order —
 // every sum runs in deterministic instance order, so reports are
 // byte-identical across runs, worker counts, and executors (outcomes are
-// keyed by instance, never by who computed them).
-func assemble(c *compiled, rp *reporter, recs []*Outcome) *Report {
+// keyed by job position, never by who computed them).
+func assemble(c *compiled, rp *reporter, outs []*Outcome) *Report {
 	makespan := rp.makespan
 	rep := &Report{
 		Scenario:   c.spec.Name,
@@ -220,7 +220,7 @@ func assemble(c *compiled, rp *reporter, recs []*Outcome) *Report {
 			sojourn = append(sojourn, float64(in.done-in.arrival))
 			wait = append(wait, float64(in.start-in.arrival))
 			service = append(service, float64(in.tx))
-			rec := recs[id]
+			rec := outs[in.job]
 			for ai := range atomNames {
 				busy[ai] += rec.Busy[ai]
 			}

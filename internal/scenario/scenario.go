@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 
 	"synapse/internal/sim"
 	"synapse/internal/store"
@@ -68,16 +67,30 @@ type RunOptions struct {
 	Progress io.Writer
 }
 
-// jobKey identifies one distinct emulation: instances sharing a key share a
-// single deterministic replay.
-type jobKey struct {
-	w       int
-	machine string // node machine in cluster mode; "" otherwise
-	load    uint64 // Float64bits of the (effective) load
+// jobTable numbers a run's distinct replays: instances naming an equal Job
+// share one deterministic replay, a job's position is the order it was first
+// seen in, and outs[position] is its outcome. Eager mode fills the table from
+// every instance and executes once; cluster mode fills it instant by instant
+// and executes only the new tail.
+type jobTable struct {
+	// index maps a job to its position. It holds the only copy of the jobs
+	// the table keeps: the batches handed to the executor are the caller's,
+	// and eager mode drops the index once every instance is numbered.
+	index map[Job]int
+	outs  []*Outcome
 }
 
-// defaultWorkers is the fan-out Run and JobRunner use when none is set.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// add returns job's position, numbering it and appending it to batch on
+// first sight; a repeated job adds nothing.
+func (t *jobTable) add(job Job, batch *[]Job) int {
+	pos, ok := t.index[job]
+	if !ok {
+		pos = len(t.index)
+		t.index[job] = pos
+		*batch = append(*batch, job)
+	}
+	return pos
+}
 
 // checkOuts verifies an executor honored its contract shape-wise: one
 // non-nil outcome per job, in order.
@@ -103,10 +116,6 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	if st == nil {
 		return nil, fmt.Errorf("scenario: no store to resolve profiles from")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
 
 	exec := opts.Executor
 	c, err := compile(ctx, spec, st, exec == nil)
@@ -115,7 +124,7 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	}
 	c.enumerate()
 	if exec == nil {
-		exec = &JobRunner{c: c, workers: workers}
+		exec = &JobRunner{c: c, workers: opts.Workers}
 	}
 
 	// Execute. Without a cluster, emulation is eager: each (workload,
@@ -129,37 +138,28 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	// With a cluster, the effective load is only known at placement (it
 	// folds in the host node's occupancy), so emulation is demand-driven:
 	// the scheduler resolves each instant's placements as a batch, fanned
-	// across the workers, memoized on (workload, node machine, load).
+	// across the workers — only the jobs (workload, node machine, load) no
+	// earlier instant has seen.
 	//
-	// Either way the delivered outcome is the fold record: Run keeps the
-	// pointer the executor handed over (ownership transfers with it) and
-	// the fold reads it in place, so a run retains one flat record per
-	// replay and copies none.
-	recs := make([]*Outcome, len(c.insts))
-	memo := make(map[jobKey]*Outcome)
-	replays := 0
+	// Either way the delivered outcome is the fold record: the job table
+	// keeps the pointer the executor handed over (ownership transfers with
+	// it), an instance carries its job's position, and the fold reads the
+	// record in place — one flat record retained per replay, none copied.
+	var table jobTable
 	var resolve resolver
 	if c.cl == nil {
-		jobOf := make(map[jobKey]int, len(c.insts))
-		jobIdx := make([]int, len(c.insts))
+		table.index = make(map[Job]int, len(c.insts))
 		var jobs []Job // distinct jobs, first-seen order
-		for i, in := range c.insts {
-			k := jobKey{w: in.w, load: math.Float64bits(in.load)}
-			j, ok := jobOf[k]
-			if !ok {
-				j = len(jobs)
-				jobOf[k] = j
-				jobs = append(jobs, Job{Workload: k.w, LoadBits: k.load})
-			}
-			jobIdx[i] = j
+		for _, in := range c.insts {
+			in.job = table.add(Job{Workload: in.w, LoadBits: math.Float64bits(in.load)}, &jobs)
 		}
-		var jobOuts []*Outcome
+		// Every instance is numbered: the index is garbage before the
+		// executor allocates its outcomes.
+		table.index = nil
 		if se, ok := exec.(StreamingExecutor); ok {
 			// Streaming fold: contiguous job-order batches arrive as the
-			// executor completes them and only the pointers are kept, so
-			// the executor's own buffers follow its window, not the job
-			// count.
-			jobOuts = make([]*Outcome, len(jobs))
+			// executor completes them and only the pointers are kept.
+			table.outs = make([]*Outcome, len(jobs))
 			folded := 0
 			err := se.ExecuteJobsStream(ctx, jobs, func(first int, outs []*Outcome) error {
 				if first != folded {
@@ -168,7 +168,7 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				if first+len(outs) > len(jobs) {
 					return fmt.Errorf("scenario: executor streamed %d outcomes past %d jobs", first+len(outs), len(jobs))
 				}
-				folded += copy(jobOuts[first:], outs)
+				folded += copy(table.outs[first:], outs)
 				return nil
 			})
 			if err != nil {
@@ -178,53 +178,39 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				return nil, fmt.Errorf("scenario: executor streamed %d outcomes for %d jobs", folded, len(jobs))
 			}
 		} else {
-			jobOuts, err = exec.ExecuteJobs(ctx, jobs)
+			table.outs, err = exec.ExecuteJobs(ctx, jobs)
 			if err != nil {
 				return nil, err
 			}
 		}
-		if err := checkOuts(jobs, jobOuts); err != nil {
+		if err := checkOuts(jobs, table.outs); err != nil {
 			return nil, err
 		}
-		for i := range c.insts {
-			recs[i] = jobOuts[jobIdx[i]]
-			c.insts[i].tx = recs[i].Tx
+		for _, in := range c.insts {
+			in.tx = table.outs[in.job].Tx
 		}
-		replays = len(jobs)
 	} else {
-		key := func(in *instance) jobKey {
-			return jobKey{w: in.w, machine: c.cl.MachineName(in.node), load: math.Float64bits(in.eff)}
-		}
+		table.index = make(map[Job]int)
+		var batch []Job // the instant's new jobs; reused, executors do not retain it
 		resolve = func(placed []int) error {
-			var keys []jobKey
-			var jobs []Job
+			batch = batch[:0]
 			for _, id := range placed {
 				in := c.insts[id]
-				k := key(in)
-				if _, ok := memo[k]; ok {
-					continue
-				}
-				memo[k] = nil // claimed for this batch
-				keys = append(keys, k)
-				jobs = append(jobs, Job{Workload: k.w, Machine: k.machine, LoadBits: k.load})
+				in.job = table.add(Job{Workload: in.w, Machine: c.cl.MachineName(in.node), LoadBits: math.Float64bits(in.eff)}, &batch)
 			}
-			if len(jobs) > 0 {
-				reps, err := exec.ExecuteJobs(ctx, jobs)
+			if len(batch) > 0 {
+				outs, err := exec.ExecuteJobs(ctx, batch)
 				if err != nil {
 					return err
 				}
-				if err := checkOuts(jobs, reps); err != nil {
+				if err := checkOuts(batch, outs); err != nil {
 					return err
 				}
-				for j, k := range keys {
-					memo[k] = reps[j]
-				}
+				table.outs = append(table.outs, outs...)
 			}
 			for _, id := range placed {
 				in := c.insts[id]
-				rec := memo[key(in)]
-				recs[id] = rec
-				in.tx = rec.Tx
+				in.tx = table.outs[in.job].Tx
 			}
 			return nil
 		}
@@ -265,12 +251,11 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 		prog.finish(rp.makespan)
 	}
 
-	rep := assemble(c, rp, recs)
+	rep := assemble(c, rp, table.outs)
+	rep.Replays = len(table.outs)
 	if c.cl != nil {
-		replays = len(memo)
 		rep.Cluster = clusterReport(c.cl, s, rp.makespan)
 	}
-	rep.Replays = replays
 	if tl != nil {
 		timeline, err := tl.finalize(rp.makespan, c.wls)
 		if err != nil {

@@ -54,8 +54,8 @@ type (
 	}
 )
 
-// resolver assigns tx (and emulation reports) to a scheduling instant's
-// freshly placed instances. Nil means tx is already known (eager mode).
+// resolver assigns job and tx to a scheduling instant's freshly placed
+// instances. Nil means both are already known (eager mode).
 type resolver func(placed []int) error
 
 // sched plays a compiled scenario on the sim kernel: arrivals, placement,

@@ -403,6 +403,11 @@ func (e *Events) validate(cl *cluster.Spec) error {
 			if err := validateNodeSpec(ev.Add); err != nil {
 				return fmt.Errorf("timeline[%d]: add_nodes: %w", i, err)
 			}
+			// Checked before the names are expanded: validation must not
+			// cost what the refused pool would have.
+			if count := max(ev.Add.Count, 1); count > cluster.MaxNodes-len(names) {
+				return fmt.Errorf("timeline[%d]: add_nodes: %d more nodes grow the pool past %d", i, count, cluster.MaxNodes)
+			}
 			for _, n := range cluster.ExpandNames(*ev.Add) {
 				if names[n] {
 					return fmt.Errorf("timeline[%d]: add_nodes: duplicate node name %q", i, n)
