@@ -175,19 +175,6 @@ func (s *Sim) Pending() int {
 	return len(s.waiters)
 }
 
-// Reset rewinds the clock to start and drops any registered waiters,
-// restoring the state NewSim(start) would return. It exists so pooled
-// emulation scratch can reuse one clock across replays; resetting a clock
-// with goroutines still blocked on it would strand them, so callers only
-// reset clocks they drove single-threaded (AutoSim never blocks).
-func (s *Sim) Reset(start time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = start
-	s.waiters = s.waiters[:0]
-	s.seq = 0
-}
-
 // Elapsed returns the time elapsed on c since start.
 func Elapsed(c Clock, start time.Time) time.Duration { return c.Now().Sub(start) }
 

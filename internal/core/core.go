@@ -92,8 +92,6 @@ type EmulateOptions struct {
 	// (emulator.TraceFull default; experiments that only read aggregates
 	// use emulator.TraceNone to keep the replay loop allocation-free).
 	TraceLevel emulator.TraceLevel
-	// Clock override (tests).
-	Clock clock.Clock
 }
 
 // WorkloadFromCommand maps a command line plus tags to a synthetic workload
@@ -214,24 +212,14 @@ func Lookup(ctx context.Context, s store.Store, command string, tags map[string]
 }
 
 // NewEmulation resolves the machine name and option mapping once and returns
-// a reusable emulator run handle for the profile: the scenario engine holds
-// one per workload and replays it for every workload instance.
+// a reusable emulator run handle for the profile, for callers that replay
+// the same profile many times.
 func NewEmulation(p *profile.Profile, opts EmulateOptions) (*emulator.Run, error) {
 	eopts, err := emulatorOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	return emulator.NewRun(p, eopts)
-}
-
-// NewEmulationOn is NewEmulation for an already-resolved machine model —
-// cluster nodes and inline JSON machine descriptions that are not (and must
-// not be) registered in the global catalog. opts.Machine is ignored.
-func NewEmulationOn(p *profile.Profile, m *machine.Model, opts EmulateOptions) (*emulator.Run, error) {
-	if m == nil {
-		return nil, fmt.Errorf("core: emulation needs a machine model")
-	}
-	return emulator.NewRun(p, emulatorOptionsOn(m, opts))
 }
 
 // emulatorOptions maps the flat EmulateOptions onto the emulator's Options,
@@ -244,11 +232,6 @@ func emulatorOptions(opts EmulateOptions) (emulator.Options, error) {
 	if err != nil {
 		return emulator.Options{}, err
 	}
-	return emulatorOptionsOn(m, opts), nil
-}
-
-// emulatorOptionsOn is the machine-resolved core of emulatorOptions.
-func emulatorOptionsOn(m *machine.Model, opts EmulateOptions) emulator.Options {
 	return emulator.Options{
 		Atoms: atoms.Config{
 			Machine:           m,
@@ -265,14 +248,13 @@ func emulatorOptionsOn(m *machine.Model, opts EmulateOptions) emulator.Options {
 		},
 		Real:           opts.Real,
 		ScratchDir:     opts.ScratchDir,
-		Clock:          opts.Clock,
 		StartupDelay:   opts.StartupDelay,
 		SampleOverhead: opts.SampleOverhead,
 		DisableStorage: opts.DisableStorage,
 		DisableMemory:  opts.DisableMemory,
 		DisableNetwork: opts.DisableNetwork,
 		TraceLevel:     opts.TraceLevel,
-	}
+	}, nil
 }
 
 // EmulateProfile replays one profile with the given options.

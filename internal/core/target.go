@@ -1,8 +1,9 @@
-package emulator
+package core
 
 import (
 	"time"
 
+	"synapse/internal/emulator"
 	"synapse/internal/perfcount"
 	"synapse/internal/watcher"
 )
@@ -14,13 +15,13 @@ import (
 // report's per-sample trace, including the startup delay during which the
 // emulator consumes nothing.
 type ReportTarget struct {
-	rep     *Report
+	rep     *emulator.Report
 	command string
 	tags    map[string]string
 }
 
 // NewReportTarget wraps a report under the original command/tags identity.
-func NewReportTarget(rep *Report, command string, tags map[string]string) *ReportTarget {
+func NewReportTarget(rep *emulator.Report, command string, tags map[string]string) *ReportTarget {
 	return &ReportTarget{rep: rep, command: command, tags: tags}
 }
 

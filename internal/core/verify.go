@@ -38,7 +38,7 @@ func VerifyEmulation(ctx context.Context, p *profile.Profile, rep *emulator.Repo
 		Clock:   clock.NewAutoSim(time.Unix(0, 0).UTC()),
 		Machine: m,
 	}
-	reprofiled, err := pr.Run(ctx, emulator.NewReportTarget(rep, p.Command, p.Tags))
+	reprofiled, err := pr.Run(ctx, NewReportTarget(rep, p.Command, p.Tags))
 	if err != nil {
 		return nil, fmt.Errorf("core: re-profiling emulation: %w", err)
 	}

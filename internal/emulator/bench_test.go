@@ -10,7 +10,7 @@ import (
 )
 
 // benchReplaySamples is sized so one replay is long enough to swamp the
-// per-run setup (atom construction, clock) that both paths share.
+// per-run setup (atom construction) that both paths share.
 const benchReplaySamples = 8192
 
 // benchReplay measures one replay configuration, reporting throughput in

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"synapse/internal/atoms"
-	"synapse/internal/clock"
 	"synapse/internal/machine"
 	"synapse/internal/perfcount"
 	"synapse/internal/profile"
@@ -63,9 +62,6 @@ type Options struct {
 	// machine. ScratchDir is the real storage atom's directory.
 	Real       bool
 	ScratchDir string
-	// Clock paces the run; clock.AutoSim (default for !Real) makes
-	// simulated emulation instantaneous.
-	Clock clock.Clock
 	// StartupDelay and SampleOverhead model driver costs in simulated
 	// mode; negative disables, zero selects the defaults.
 	StartupDelay   time.Duration
@@ -100,7 +96,8 @@ type SampleTrace struct {
 
 // Report is the outcome of an emulation run.
 type Report struct {
-	// Tx is the emulation's execution time (on the run's clock).
+	// Tx is the emulation's execution time: modeled in simulated mode,
+	// measured on the wall clock in real mode.
 	Tx time.Duration
 	// Startup is the modeled or measured start-up delay included in Tx.
 	Startup time.Duration
@@ -307,7 +304,7 @@ const replayBatchSize = 1024
 // report is bit-identical to the per-sample reference loop the equivalence
 // tests keep (see atoms.BatchConsumer for why). sc, whose set the atoms are,
 // lends the staging buffers, so pooled replays do not reallocate them.
-func replayBatched(ctx context.Context, p *profile.Profile, level TraceLevel, overhead time.Duration, clk clock.Clock, rep *Report, sc *replayScratch) (time.Duration, error) {
+func replayBatched(ctx context.Context, p *profile.Profile, level TraceLevel, overhead time.Duration, rep *Report, sc *replayScratch) (time.Duration, error) {
 	cols := p.Columns()
 	n := cols.N
 	if n == 0 {
@@ -418,9 +415,6 @@ func replayBatched(ctx context.Context, p *profile.Profile, level TraceLevel, ov
 	for ai, name := range sc.names {
 		rep.busy[atomIndex(name)] += busy[ai]
 	}
-	// One sleep for the whole replay: the simulated clock lands on the
-	// same instant as per-sample sleeps would.
-	clk.Sleep(cursor)
 	return cursor, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"synapse/internal/atoms"
-	"synapse/internal/clock"
 	"synapse/internal/machine"
 	"synapse/internal/profile"
 	"synapse/internal/testutil"
@@ -273,8 +272,8 @@ func mixedProfile(n int, seed int64) *profile.Profile {
 // the run total or the sample's own trace record) must reproduce the
 // reference loop bit-for-bit wherever its destination rule or its staging
 // changes shape: every trace level, the pooled Run path (first use and a
-// recycled scratch, with a per-replay load override) and the pinned-clock
-// Emulate path, and profiles that end before, on and after a batch boundary.
+// recycled scratch, with a per-replay load override) and the one-shot
+// Emulate entry point, and profiles that end before, on and after a batch boundary.
 func TestBatchedMatchesSerialMatrix(t *testing.T) {
 	ctx := context.Background()
 	cfgs := map[string]atoms.Config{
@@ -313,12 +312,11 @@ func TestBatchedMatchesSerialMatrix(t *testing.T) {
 					}
 					reportsIdentical(t, want, pooled)
 
-					opts.Clock = clock.NewAutoSim(t0)
-					pinned, err := Emulate(ctx, p, opts)
+					oneShot, err := Emulate(ctx, p, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					reportsIdentical(t, want, pinned)
+					reportsIdentical(t, want, oneShot)
 				})
 			}
 		}
@@ -326,7 +324,7 @@ func TestBatchedMatchesSerialMatrix(t *testing.T) {
 }
 
 // A pooled TraceNone replay allocates the report and nothing else: the atom
-// set, the clock and the staging buffers come from the Run's pool, and the
+// set and the staging buffers come from the Run's pool, and the
 // busy record is an array inside the report.
 func TestPooledReplayAllocatesOnlyTheReport(t *testing.T) {
 	// The race detector makes sync.Pool drop a quarter of its Puts at

@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"synapse/internal/atoms"
-	"synapse/internal/clock"
 	"synapse/internal/perfcount"
 	"synapse/internal/profile"
 )
 
 // emulateOracle is Emulate through the reference loop below instead of
-// replayBatched: a fresh simulated atom set, the options' clock (or an
-// auto-advancing one), the same normalized driver costs. It is what the
+// replayBatched: a fresh simulated atom set, the same normalized driver
+// costs. It is what the
 // equivalence tests and BenchmarkReplaySimulated hold the batched replay
 // against.
 func emulateOracle(ctx context.Context, p *profile.Profile, opts Options) (*Report, error) {
@@ -24,15 +23,8 @@ func emulateOracle(ctx context.Context, p *profile.Profile, opts Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	clk := r.opts.Clock
-	if clk == nil {
-		clk = clock.NewAutoSim(scratchEpoch)
-	}
-	if r.startup > 0 {
-		clk.Sleep(r.startup)
-	}
 	rep := r.newReport(&sc.cfg)
-	total, err := replaySerial(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, clk, rep)
+	total, err := replaySerial(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +44,7 @@ func replayVia(oracle bool) func(context.Context, *profile.Profile, Options) (*R
 // interface-dispatched Consume calls, one full Counters summed per atom per
 // sample and a fresh span slice per sample. The batched replay must match it
 // bit-for-bit.
-func replaySerial(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg *atoms.Config, level TraceLevel, overhead time.Duration, clk clock.Clock, rep *Report) (time.Duration, error) {
+func replaySerial(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg *atoms.Config, level TraceLevel, overhead time.Duration, rep *Report) (time.Duration, error) {
 	var cursor time.Duration
 	for i, s := range p.Samples {
 		select {
@@ -68,7 +60,6 @@ func replaySerial(ctx context.Context, set []atoms.Atom, p *profile.Profile, cfg
 		dur += overhead
 		rep.record(level, i, cursor, spans, dur, consumed)
 		cursor += dur
-		clk.Sleep(dur)
 	}
 	return cursor, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"synapse/internal/atoms"
-	"synapse/internal/clock"
 	"synapse/internal/machine"
 	"synapse/internal/perfcount"
 	"synapse/internal/profile"
@@ -19,10 +18,7 @@ import (
 // that replay the same profile repeatedly (the scenario engine's workload
 // instances, benchmark loops) skip it on every subsequent replay.
 //
-// A Run is safe for concurrent Emulate calls as long as Options.Clock is nil:
-// each call then builds its own atom set and simulated clock. A caller-
-// provided clock is shared by every replay, so those runs must be serialized
-// by the caller.
+// A Run is safe for concurrent use: every replay works on its own atom set.
 type Run struct {
 	p    *profile.Profile
 	opts Options
@@ -31,7 +27,7 @@ type Run struct {
 	startup  time.Duration
 	overhead time.Duration
 	// pool recycles replayScratch values across simulated replays (see
-	// emulateSim). Per-Run, so every pooled scratch shares the handle's
+	// emulate). Per-Run, so every pooled scratch shares the handle's
 	// machine, kernel and filesystem — only the per-replay load varies.
 	pool sync.Pool
 }
@@ -85,19 +81,14 @@ func (r *Run) EmulateWithLoad(ctx context.Context, load float64) (*Report, error
 	return r.emulate(ctx, cfg)
 }
 
-// scratchEpoch is the simulated clock's fixed start time.
-var scratchEpoch = time.Unix(0, 0).UTC()
-
 // replayScratch is one simulated replay's working set: the atom set (built
-// against the scratch's own config copy), the auto-advancing clock (pooled
-// scratches only; a pinned-clock replay is paced by the caller's), and
-// the batched loop's staging buffers. Recycling it turns the per-replay
-// cost — four atoms, a clock, three slices — into a pool hit.
+// against the scratch's own config copy) and the batched loop's staging
+// buffers. Recycling it turns the per-replay cost — four atoms, three
+// slices — into a pool hit.
 type replayScratch struct {
 	cfg   atoms.Config
 	set   []atoms.Atom
 	names []string
-	clk   clock.AutoSim
 	// Staging for one batch: the gathered requests, one run of durations
 	// per atom (atom ai's at durs[ai*bs:]), and each sample's consumption
 	// destination. dst is refilled by every replay; between replays it
@@ -136,8 +127,8 @@ func (sc *replayScratch) stage(bs int) ([]atoms.Request, []time.Duration, []*per
 }
 
 // acquire returns a replay-ready scratch for cfg: recycled from the pool
-// when one is free (atoms reset, clock rewound, the new per-replay config
-// written through the pointer the atoms hold), freshly built otherwise.
+// when one is free (atoms reset, the new per-replay config written through
+// the pointer the atoms hold), freshly built otherwise.
 func (r *Run) acquire(cfg atoms.Config) (*replayScratch, error) {
 	if sc, _ := r.pool.Get().(*replayScratch); sc != nil {
 		// The atoms read *&sc.cfg at consume time and their precomputed
@@ -146,15 +137,9 @@ func (r *Run) acquire(cfg atoms.Config) (*replayScratch, error) {
 		// them to this replay's load.
 		sc.cfg = cfg
 		atoms.ResetSim(sc.set)
-		sc.clk.Reset(scratchEpoch)
 		return sc, nil
 	}
-	sc, err := r.newScratch(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sc.clk = clock.NewAutoSim(scratchEpoch)
-	return sc, nil
+	return r.newScratch(cfg)
 }
 
 // newReport starts the report of one replay under cfg.
@@ -170,52 +155,28 @@ func (r *Run) newReport(cfg *atoms.Config) *Report {
 	return rep
 }
 
-// emulateSim is the simulated replay with an unpinned clock — the scenario
-// engine's high-volume path. Nothing about it is observable outside the
-// report (the clock starts at a fixed epoch and Tx is assembled from
-// modeled parts), so the whole working set comes from the per-Run pool and
-// the steady state allocates only the report itself.
-func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config) (*Report, error) {
+// emulate is one replay: real mode against the host, otherwise simulated.
+// Nothing about a simulated replay is observable outside the report (Tx is
+// assembled from modeled parts), so its whole working set comes from the
+// per-Run pool and the steady state allocates only the report itself.
+func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
+	if r.opts.Real {
+		return r.emulateReal(ctx, cfg)
+	}
 	sc, err := r.acquire(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer r.pool.Put(sc)
-	return r.replaySim(ctx, sc, sc.clk)
-}
-
-// replaySim is one simulated replay of sc's atoms, paced by clk.
-func (r *Run) replaySim(ctx context.Context, sc *replayScratch, clk clock.Clock) (*Report, error) {
-	// Start-up: locate and load the profile, spawn atom threads.
-	if r.startup > 0 {
-		clk.Sleep(r.startup)
-	}
 	rep := r.newReport(&sc.cfg)
-	total, err := replayBatched(ctx, r.p, r.opts.TraceLevel, r.overhead, clk, rep, sc)
+	total, err := replayBatched(ctx, r.p, r.opts.TraceLevel, r.overhead, rep, sc)
 	if err != nil {
 		return nil, err
 	}
-	// Simulated clocks advance exactly by slept time; assemble Tx from
-	// parts to avoid clock granularity concerns.
+	// Start-up (locate and load the profile, spawn atom threads) plus the
+	// replayed samples.
 	rep.Tx = r.startup + total
 	return rep, nil
-}
-
-// emulate is one replay: real mode against the host; simulated, the pooled
-// path, or — when the options pinned a clock, which every replay then
-// shares — a fresh atom set paced by that clock.
-func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
-	if r.opts.Real {
-		return r.emulateReal(ctx, cfg)
-	}
-	if r.opts.Clock == nil {
-		return r.emulateSim(ctx, cfg)
-	}
-	sc, err := r.newScratch(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.replaySim(ctx, sc, r.opts.Clock)
 }
 
 // emulateReal is one replay against the host. Constructing the real atoms
@@ -226,15 +187,11 @@ func (r *Run) emulateReal(ctx context.Context, cfg atoms.Config) (*Report, error
 		return nil, err
 	}
 	set = filterAtoms(set, r.opts)
-	clk := r.opts.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	start := clk.Now()
+	start := time.Now()
 	rep := r.newReport(&cfg)
 	if _, err := replayReal(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, rep); err != nil {
 		return nil, err
 	}
-	rep.Tx = clk.Now().Sub(start)
+	rep.Tx = time.Since(start)
 	return rep, nil
 }

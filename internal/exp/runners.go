@@ -2,13 +2,12 @@ package exp
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"synapse/internal/app"
 	"synapse/internal/core"
 	"synapse/internal/emulator"
+	"synapse/internal/fan"
 	"synapse/internal/machine"
 	"synapse/internal/proc"
 	"synapse/internal/profile"
@@ -34,65 +33,7 @@ import (
 // The first error by index wins, which is also the error a serial run
 // would have returned.
 func runCells[R any](cfg Config, n int, fn func(i int) (R, error)) ([]R, error) {
-	return Fan(cfg.workers(), n, cfg.budget, fn)
-}
-
-// Fan is the work-stealing runner behind runCells, exported so other drivers
-// (the scenario engine's emulation fan-out) reuse it: fn runs over [0, n)
-// across at most workers goroutines (workers <= 1 runs serially), results
-// land in input order, the first error by index wins. budget, when non-nil,
-// is a shared token channel bounding concurrently-executing cells across
-// cooperating fan-outs; fn must not fan out further while holding a token.
-func Fan[R any](workers, n int, budget chan struct{}, fn func(i int) (R, error)) ([]R, error) {
-	out := make([]R, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 && budget == nil {
-		for i := 0; i < n; i++ {
-			r, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if budget != nil {
-					budget <- struct{}{}
-				}
-				out[i], errs[i] = fn(i)
-				if budget != nil {
-					<-budget
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return fan.Run(cfg.workers(), n, cfg.budget, fn)
 }
 
 // leafCell runs one unit of leaf compute under the suite's concurrency
@@ -138,7 +79,6 @@ func profileWorkload(machineName string, w app.Workload, rate float64, seed uint
 func emulate(p *profile.Profile, machineName string, mod func(*core.EmulateOptions)) (*emulator.Report, error) {
 	opts := core.EmulateOptions{
 		Machine:    machineName,
-		Clock:      simClock(),
 		TraceLevel: emulator.TraceNone,
 	}
 	if mod != nil {

@@ -6,8 +6,8 @@ import (
 	"math"
 	"time"
 
+	"synapse/internal/atoms"
 	"synapse/internal/cluster"
-	"synapse/internal/core"
 	"synapse/internal/emulator"
 	"synapse/internal/machine"
 	"synapse/internal/profile"
@@ -143,11 +143,16 @@ func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*
 			}
 			ws.machine = machineName
 			if buildRuns {
-				run, err := core.NewEmulation(p, w.emulateOptions(machineName))
+				if machineName == "" {
+					return nil, fmt.Errorf("scenario: workload %q: emulation needs a machine name", w.Name)
+				}
+				m, err := machine.Get(machineName)
+				if err == nil {
+					ws.run, err = emulator.NewRun(p, w.emulateOptions(m))
+				}
 				if err != nil {
 					return nil, fmt.Errorf("scenario: workload %q: %w", w.Name, err)
 				}
-				ws.run = run
 			}
 		} else {
 			ws.machine = "cluster"
@@ -159,7 +164,7 @@ func compile(ctx context.Context, spec *Spec, st store.Store, buildRuns bool) (*
 			if buildRuns {
 				ws.runs = make(map[string]*emulator.Run)
 				for _, m := range models {
-					run, err := core.NewEmulationOn(p, m, w.emulateOptions(m.Name))
+					run, err := emulator.NewRun(p, w.emulateOptions(m))
 					if err != nil {
 						return nil, fmt.Errorf("scenario: workload %q on %q: %w", w.Name, m.Name, err)
 					}
@@ -236,21 +241,25 @@ func (c *compiled) fits(r cluster.Request, shapes []cluster.Request) bool {
 	return false
 }
 
-// emulateOptions maps the workload's emulation knobs onto core options.
-func (w *Workload) emulateOptions(machineName string) core.EmulateOptions {
+// emulateOptions maps the workload's emulation knobs onto emulator options
+// for the resolved machine m. Scenario reports read aggregates only, so no
+// per-sample trace is kept.
+func (w *Workload) emulateOptions(m *machine.Model) emulator.Options {
 	e := &w.Emulation
-	opts := core.EmulateOptions{
-		Machine:    machineName,
-		Kernel:     e.Kernel,
-		Workers:    e.Workers,
-		Load:       e.Load,
+	opts := emulator.Options{
+		Atoms: atoms.Config{
+			Machine: m,
+			Kernel:  e.Kernel,
+			Workers: e.Workers,
+			Load:    e.Load,
+		},
 		TraceLevel: emulator.TraceNone,
 	}
 	switch e.Mode {
 	case "openmp":
-		opts.Mode = machine.ModeOpenMP
+		opts.Atoms.Mode = machine.ModeOpenMP
 	case "mpi":
-		opts.Mode = machine.ModeMPI
+		opts.Atoms.Mode = machine.ModeMPI
 	}
 	for _, a := range e.DisableAtoms {
 		switch a {

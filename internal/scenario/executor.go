@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"time"
 
-	"synapse/internal/exp"
+	"synapse/internal/fan"
 	"synapse/internal/perfcount"
 	"synapse/internal/profile"
 	"synapse/internal/store"
@@ -140,7 +140,7 @@ func (r *JobRunner) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, er
 		workers = runtime.GOMAXPROCS(0)
 	}
 	slab := make([]Outcome, len(jobs))
-	return exp.Fan(workers, len(jobs), nil, func(j int) (*Outcome, error) {
+	return fan.Run(workers, len(jobs), nil, func(j int) (*Outcome, error) {
 		if err := r.executeJob(ctx, jobs[j], &slab[j]); err != nil {
 			return nil, err
 		}
