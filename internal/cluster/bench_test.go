@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"synapse/internal/benchutil"
 	"synapse/internal/stats"
 )
 
@@ -28,7 +27,6 @@ func BenchmarkKernelPlacement(b *testing.B) {
 	if idx, _, ok := c.Place(req); ok {
 		c.Release(idx, req)
 	}
-	rec := benchutil.NewRecorder(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,9 +35,7 @@ func BenchmarkKernelPlacement(b *testing.B) {
 			b.Fatal("placement rejected on an empty cluster")
 		}
 		c.Release(idx, req)
-		rec.Tick()
 	}
-	rec.Report(b)
 }
 
 // TestPlaceAllocFree pins the random policy's allocation-free steady

@@ -13,8 +13,7 @@ import (
 
 // BenchmarkDist measures distributed scenario throughput over in-process
 // fleets — the protocol and fold overhead without wire latency. The custom
-// metric is emulated instances per second of wall time; benchguard tracks
-// it via BENCH_dist.json.
+// metric is emulated instances per second of wall time.
 func BenchmarkDist(b *testing.B) {
 	st := seedStore(b, "mdsim", "sleep")
 	for _, fleet := range []int{1, 2, 4} {
@@ -44,7 +43,7 @@ func BenchmarkDist(b *testing.B) {
 
 // delayedWorker serializes its executes behind a mutex and adds a fixed
 // delay to each — a worker an order of magnitude slower than its siblings,
-// the benchmark's injected straggler. It honors cancellation, like a real
+// the straggler test's injected straggler. It honors cancellation, like a real
 // remote worker.
 type delayedWorker struct {
 	Worker
@@ -64,7 +63,7 @@ func (d *delayedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*sc
 }
 
 // barrierExecutor is the pre-chunking dispatch discipline, kept as the
-// straggler benchmark's baseline: the jobs split statically into equal
+// straggler test's baseline: the jobs split statically into equal
 // contiguous parts round-robined over the fleet, one RPC per part, and a
 // full barrier before any folding.
 type barrierExecutor struct {
@@ -129,62 +128,53 @@ func stragglerSpec() *scenario.Spec {
 	return spec
 }
 
-// BenchmarkDistStraggler measures end-to-end wall clock with one of four
-// workers dramatically slow, across dispatch disciplines: barrier (static
-// equal splits, full barrier — what chunked dispatch replaced), pull
-// (chunked pull dispatch, speculation off), and steal (chunked pull plus
-// speculative re-execution of stragglers). The straggler-ms metric is wall
-// milliseconds per scenario run, lower is better; benchguard gates it via
-// -latency-metric so the steal path's win over the barrier is pinned.
-func BenchmarkDistStraggler(b *testing.B) {
-	st := seedStore(b, "mdsim", "sleep")
+// TestDistStragglerRescued pins what speculative re-execution buys with one
+// of four workers 40 ms slow per execute: the barrier baseline waits for
+// every part the straggler holds in turn (≈160 ms), while the stealing
+// coordinator re-runs the straggler's chunks on the fast workers and
+// finishes in a few milliseconds. A change that reintroduces head-of-line
+// blocking pushes steal mode past a quarter of the barrier's wall time.
+func TestDistStragglerRescued(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times two dispatch disciplines against a 40 ms straggler")
+	}
+	st := seedStore(t, "mdsim", "sleep")
 	spec := stragglerSpec()
 	ctx := context.Background()
-	const delay = 40 * time.Millisecond
 	mkFleet := func() []Worker {
 		fleet := localFleet(4)
-		fleet[0] = &delayedWorker{Worker: fleet[0], delay: delay}
+		fleet[0] = &delayedWorker{Worker: fleet[0], delay: 40 * time.Millisecond}
 		return fleet
 	}
-	run := func(b *testing.B, exec scenario.Executor) {
-		b.Helper()
-		// One untimed warmup run compiles every session and fills caches, so
-		// the modes compare dispatch discipline, not setup.
+	// wall times one run after an untimed warm-up that compiles every
+	// session, so the modes compare dispatch discipline, not setup.
+	wall := func(exec scenario.Executor) time.Duration {
+		t.Helper()
 		if _, err := scenario.Run(ctx, spec, st, scenario.RunOptions{Executor: exec}); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := scenario.Run(ctx, spec, st, scenario.RunOptions{Executor: exec}); err != nil {
-				b.Fatal(err)
-			}
+		start := time.Now()
+		if _, err := scenario.Run(ctx, spec, st, scenario.RunOptions{Executor: exec}); err != nil {
+			t.Fatal(err)
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "straggler-ms")
+		return time.Since(start)
 	}
-	b.Run("mode=barrier", func(b *testing.B) {
-		exec, err := newBarrierExecutor(ctx, spec, st, mkFleet(), 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, exec)
+	barrier, err := newBarrierExecutor(ctx, spec, st, mkFleet(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(ctx, spec, st, Config{
+		Workers: mkFleet(), ChunkSize: 8, StealAfter: 5 * time.Millisecond,
 	})
-	b.Run("mode=pull", func(b *testing.B) {
-		co, err := NewCoordinator(ctx, spec, st, Config{
-			Workers: mkFleet(), ChunkSize: 8, StealAfter: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, co)
-	})
-	b.Run("mode=steal", func(b *testing.B) {
-		co, err := NewCoordinator(ctx, spec, st, Config{
-			Workers: mkFleet(), ChunkSize: 8, StealAfter: 5 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, co)
-	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	barrierWall, stealWall := wall(barrier), wall(co)
+	t.Logf("barrier %v, steal %v", barrierWall, stealWall)
+	if stealWall*4 >= barrierWall {
+		t.Errorf("steal mode took %v, want under a quarter of barrier mode's %v", stealWall, barrierWall)
+	}
+	if s := co.Stats(); s.Steals < 1 {
+		t.Errorf("no chunk was stolen from the straggler: %+v", s)
+	}
 }

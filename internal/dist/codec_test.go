@@ -159,8 +159,9 @@ func TestOutcomeCodecRoundTripsBits(t *testing.T) {
 	}
 }
 
-// TestUnpackAllocatesOneSlab pins the decode side's allocation shape: one
-// slab per batch, whatever the batch size — never one object per outcome.
+// TestUnpackAllocatesOneSlab pins the codec's allocation shape: one slab per
+// batch on the decode side, whatever the batch size — never one object per
+// outcome — and nothing at all on the encode side once its buffer is sized.
 func TestUnpackAllocatesOneSlab(t *testing.T) {
 	outs := make([]*scenario.Outcome, 64)
 	for i := range outs {
@@ -174,6 +175,9 @@ func TestUnpackAllocatesOneSlab(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("unpacking a %d-outcome batch allocates %v times, want 1 (the slab)", len(outs), allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { packed = packOutcomes(packed[:0], outs) }); allocs != 0 {
+		t.Errorf("packing a %d-outcome batch into a reused buffer allocates %v times, want 0", len(outs), allocs)
 	}
 }
 
@@ -256,9 +260,9 @@ func FuzzStreamDecode(f *testing.F) {
 
 // BenchmarkOutcomeCodec measures the wire codec alone: one op packs and
 // unpacks 4096 outcomes in lines of lineRecords, the shape of a worker's
-// responses. emulations/s is outcomes through both directions per second
-// (the metric benchguard gates), ns/outcome its inverse; allocs/op is one
-// slab per line.
+// responses. emulations/s is outcomes through both directions per second,
+// ns/outcome its inverse; allocs/op is one slab per line
+// (TestUnpackAllocatesOneSlab pins it).
 func BenchmarkOutcomeCodec(b *testing.B) {
 	const window, batch = 4096, lineRecords
 	rng := rand.New(rand.NewSource(7))

@@ -201,8 +201,10 @@ func TestTraceLevels(t *testing.T) {
 // The batched fast path must be allocation-free per sample: a whole replay
 // costs a fixed number of allocations (buffers, report, atom set), so the
 // per-sample rate vanishes as profiles grow, where the serial loop paid a
-// handful of allocations on every sample. The ISSUE's acceptance bar is
-// ≥10× fewer allocs/sample; assert a large margin over it.
+// handful of allocations on every sample. The acceptance bar is ≥10× fewer
+// allocs/sample; assert a large margin over it. Each path also has an
+// absolute ceiling, 1.2× the count measured when it was set, so a replay
+// that gains a few fixed allocations fails too.
 func TestBatchedReplayAllocCeiling(t *testing.T) {
 	const n = 4096
 	p := benchReplayProfile(n)
@@ -227,6 +229,18 @@ func TestBatchedReplayAllocCeiling(t *testing.T) {
 	}
 	if batchedFull*10 > serialFull {
 		t.Errorf("batched full-trace replay allocates %.0f, serial %.0f: want ≥10× reduction", batchedFull, serialFull)
+	}
+	for _, c := range []struct {
+		path          string
+		got, measured float64
+	}{
+		{"serial", serialFull, 6170},
+		{"batched full-trace", batchedFull, 16},
+		{"batched TraceNone", batchedNone, 13},
+	} {
+		if c.got > 1.2*c.measured {
+			t.Errorf("%s replay allocates %.0f, ceiling %.0f", c.path, c.got, 1.2*c.measured)
+		}
 	}
 	t.Logf("allocs per replay of %d samples: serial=%.0f batched(full)=%.0f batched(none)=%.0f",
 		n, serialFull, batchedFull, batchedNone)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,6 +147,50 @@ func BenchmarkPlacementSerial(b *testing.B) {
 		total += rep.Emulations
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "emulations/s")
+}
+
+// TestScenarioRunAllocCeiling pins the allocations of one whole scenario run
+// for each benchmark spec, default fan-out and single worker. Each ceiling
+// is 1.2× the count measured when the test was written, so an engine change
+// that starts allocating per instance fails here on any host.
+func TestScenarioRunAllocCeiling(t *testing.T) {
+	// The race detector makes sync.Pool drop a quarter of its Puts at
+	// random, so replays there rebuild their scratch now and then.
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		probe.Put(new(int))
+		if probe.Get() == nil {
+			t.Skip("sync.Pool is not recycling (race detector?); the ceilings assume pool hits")
+		}
+	}
+	st := seedStore(t, "mdsim", "sleep")
+	for _, tc := range []struct {
+		name     string
+		spec     *Spec
+		workers  int
+		measured float64
+	}{
+		{"throughput", benchSpec(4, 64), 0, 370},
+		{"serial", benchSpec(4, 64), 1, 369},
+		{"mix", mixSpec(), 0, 148},
+		{"placement/" + cluster.PolicyFirstFit, placementBenchSpec(cluster.PolicyFirstFit), 0, 676},
+		{"placement/" + cluster.PolicyBestFit, placementBenchSpec(cluster.PolicyBestFit), 0, 682},
+		{"placement/" + cluster.PolicyLeastLoaded, placementBenchSpec(cluster.PolicyLeastLoaded), 0, 682},
+		{"placement/" + cluster.PolicyRandom, placementBenchSpec(cluster.PolicyRandom), 0, 682},
+		{"placement-serial", placementBenchSpec(cluster.PolicyLeastLoaded), 1, 682},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			got := testing.AllocsPerRun(10, func() {
+				if _, err := Run(ctx, tc.spec, st, RunOptions{Workers: tc.workers}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if ceiling := 1.2 * tc.measured; got > ceiling {
+				t.Errorf("one run allocates %.0f objects, ceiling %.0f", got, ceiling)
+			}
+		})
+	}
 }
 
 // BenchmarkScenarioMix exercises the full scheduler: two workloads, open

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"synapse/internal/benchutil"
 	"synapse/internal/stats"
 )
 
@@ -26,7 +25,6 @@ func foldSample() []float64 {
 func BenchmarkKernelReportFold(b *testing.B) {
 	base := foldSample()
 	buf := make([]float64, len(base))
-	rec := benchutil.NewRecorder(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,9 +32,7 @@ func BenchmarkKernelReportFold(b *testing.B) {
 		if s := summarize(buf); s.Mean == 0 {
 			b.Fatal("degenerate summary")
 		}
-		rec.Tick()
 	}
-	rec.Report(b)
 }
 
 // TestReportFoldAllocFree pins the fold path's allocation-free steady

@@ -3,30 +3,24 @@ package sim
 import (
 	"testing"
 	"time"
-
-	"synapse/internal/benchutil"
 )
 
 // BenchmarkKernelPostPop is the event-queue micro: one handler post and
 // one heap pop per op, on a warm kernel. The steady state must not
 // allocate — PostHandler carries its arguments inline and the heap reuses
-// its arena — so the committed allocs/op baseline is zero and benchguard
-// fails any regression.
+// its arena — so allocs/op must read zero; TestPostPopAllocFree pins it.
 func BenchmarkKernelPostPop(b *testing.B) {
 	k := New()
 	k.Reserve(64)
 	var sink int64
 	h := Handler(func(a, _ int64) { sink += a })
-	rec := benchutil.NewRecorder(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.PostHandler(time.Duration(i), 0, h, int64(i), 0)
 		e := k.h.pop()
 		e.h(e.a, e.b)
-		rec.Tick()
 	}
-	rec.Report(b)
 	if sink < 0 {
 		b.Fatal("unreachable")
 	}
@@ -42,7 +36,6 @@ func BenchmarkKernelInstantDrain(b *testing.B) {
 	var sink int64
 	h := Handler(func(a, _ int64) { sink += a })
 	hook := func() { sink++ }
-	rec := benchutil.NewRecorder(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,9 +44,7 @@ func BenchmarkKernelInstantDrain(b *testing.B) {
 			k.PostHandler(t, Priority(j%4), h, int64(j), 0)
 		}
 		k.Run(hook)
-		rec.Tick()
 	}
-	rec.Report(b)
 	if sink < 0 {
 		b.Fatal("unreachable")
 	}

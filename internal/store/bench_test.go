@@ -1,6 +1,6 @@
 package store_test
 
-// Throughput benchmarks behind BENCH_store.json: Put/Find ops/s at 1, 8 and
+// Throughput benchmarks: Put/Find ops/s at 1, 8 and
 // 64 concurrent clients. The single-mutex Mem backend flatlines as clients
 // are added (every operation serializes), while Sharded spreads distinct
 // keys across lock stripes and scales until the hash distribution or core

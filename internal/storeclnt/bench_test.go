@@ -1,6 +1,6 @@
 package storeclnt
 
-// Loopback service throughput for BENCH_store.json: a Remote client against
+// Loopback service throughput: a Remote client against
 // an in-process synapsed (httptest, sharded backend) at 1, 8 and 64
 // concurrent clients. RemoteFindCached exercises the generation-ETag cache
 // (bodyless 304 revalidations); RemoteFindCold bypasses it.
